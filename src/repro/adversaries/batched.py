@@ -2,16 +2,19 @@
 
 The batched engine asks its adversary one lane at a time —
 ``act(lane, round_no, view)`` — because each lane's attack depends on
-that lane's own billboard history and rng stream. What batching buys on
-the adversary side is therefore *within-lane* vectorization of the
-expensive adversaries, not cross-lane fusion:
+that lane's own billboard history and rng stream. A lane's turn comes
+back as one :class:`~repro.sim.actions.ActionBlock` of parallel
+columns, which the engine checks and posts without a per-action Python
+object. What batching buys on the adversary side is therefore
+*within-lane* vectorization of the expensive adversaries, not
+cross-lane fusion:
 
-* the split-vote adversary's vote-slot pool becomes a numpy array with a
-  vectorized distinct-identity allocator
+* the split-vote adversary's vote-slot pool becomes a numpy array, and
+  a whole attack window is one slice of it
   (:class:`VectorSlotSplitVoteAdversary`), replacing the quadratic Python
   list rebuild that dominates the scalar engine's E3 profile;
-* silent and random-votes adversaries are already O(1) per round and run
-  as plain per-lane instances.
+* every other adversary runs as plain per-lane scalar instances; the
+  adapters convert each turn's ``List[VoteAction]`` into a block once.
 
 Equivalence contract: per lane, the rng draw sequence and the emitted
 actions are exactly the scalar adversary's for the same instance and
@@ -21,7 +24,7 @@ stream. The split-vote subclass below only re-implements the slot
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.split_vote import SplitVoteAdversary
 from repro.billboard.views import BillboardView
 from repro.core.parameters import DistillParameters
-from repro.sim.actions import VoteAction
+from repro.sim.actions import EMPTY_BLOCK, ActionBlock
 from repro.world.instance import Instance
 
 
@@ -47,10 +50,8 @@ class BatchedAdversary:
     ) -> None:
         raise NotImplementedError
 
-    def act(
-        self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
-        """Votes lane ``lane``'s dishonest players cast this round."""
+    def act(self, lane: int, round_no: int, view: BillboardView) -> ActionBlock:
+        """Posts lane ``lane``'s dishonest players make this round."""
         raise NotImplementedError
 
 
@@ -76,10 +77,8 @@ class PerLaneAdversary(BatchedAdversary):
         for adversary, instance, rng in zip(self._adversaries, instances, rngs):
             adversary.reset(instance, rng)
 
-    def act(
-        self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
-        return self._adversaries[lane].act(round_no, view)
+    def act(self, lane: int, round_no: int, view: BillboardView) -> ActionBlock:
+        return ActionBlock.of(self._adversaries[lane].act(round_no, view))
 
 
 class MixedLaneAdversary(BatchedAdversary):
@@ -108,13 +107,11 @@ class MixedLaneAdversary(BatchedAdversary):
             if adversary is not None:
                 adversary.reset(instance, rng)
 
-    def act(
-        self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
+    def act(self, lane: int, round_no: int, view: BillboardView) -> ActionBlock:
         adversary = self._adversaries[lane]
         if adversary is None:
-            return []
-        return adversary.act(round_no, view)
+            return EMPTY_BLOCK
+        return ActionBlock.of(adversary.act(round_no, view))
 
 
 class VectorSlotSplitVoteAdversary(SplitVoteAdversary):
@@ -125,39 +122,37 @@ class VectorSlotSplitVoteAdversary(SplitVoteAdversary):
     attack window, and the single hottest path of the whole E3 cell.
 
     This subclass exploits a structural invariant of the pool: ``reset``
-    builds it as ``votes_per_identity`` contiguous blocks of one
-    permutation of the dishonest identities, and the only consumer
-    (``_cast``) takes slots from the front. Every reachable pool state is
-    therefore a contiguous window of that periodic sequence, so any
-    prefix of length ``<= n_distinct`` is automatically pairwise
+    builds it (with ``np.tile``) as ``votes_per_identity`` contiguous
+    copies of one permutation of the dishonest identities, and the only
+    consumer (``_cast``) takes slots from the front. Every reachable pool
+    state is therefore a contiguous window of that periodic sequence, so
+    any prefix of length ``<= n_distinct`` is automatically pairwise
     distinct — the scalar scan's "first ``need`` distinct identities in
     scan order" is simply the pool's first ``need`` entries. One whole
-    ``_cast`` collapses to a single slice + reshape, with the exact
-    action order of the scalar loop, pinned by the equivalence suite.
+    ``_cast`` collapses to a single slice, returned as an
+    :class:`~repro.sim.actions.ActionBlock` in the exact action order of
+    the scalar loop (pinned by the equivalence suite). Its turns are
+    therefore blocks, not lists: it runs behind the batched adapters.
     """
 
-    def reset(self, instance: Instance, rng: np.random.Generator) -> None:
-        super().reset(instance, rng)
-        self._unused = np.asarray(self._unused, dtype=np.int64)
-        self._n_distinct = int(np.unique(self._unused).size)
+    def _slot_pool(self, shuffled: np.ndarray) -> np.ndarray:
+        return np.tile(shuffled, self.votes_per_identity)
 
-    def _cast(self, targets: np.ndarray, need: int) -> List[VoteAction]:
+    def _cast(self, targets: np.ndarray, need: int) -> ActionBlock:
         pool = self._unused
         # Scalar behaviour when a full distinct batch is impossible:
         # _take_votes returns [] consuming nothing, and _cast breaks at
         # the first such target.
-        if need > min(pool.size, self._n_distinct):
-            return []
+        if need > min(pool.size, self.dishonest_ids.size):
+            return EMPTY_BLOCK
         n_batches = min(len(targets), pool.size // need)
         if n_batches == 0:
-            return []
-        taken = pool[: n_batches * need].reshape(n_batches, need)
+            return EMPTY_BLOCK
         self._unused = pool[n_batches * need:]
-        return [
-            VoteAction(player=int(p), object_id=int(obj))
-            for obj, row in zip(targets[:n_batches], taken)
-            for p in row
-        ]
+        return ActionBlock.votes(
+            pool[: n_batches * need],
+            np.repeat(np.asarray(targets[:n_batches], dtype=np.int64), need),
+        )
 
 
 class BatchedSilentAdversary(PerLaneAdversary):

@@ -119,12 +119,8 @@ class SplitVoteAdversary(Adversary):
         # Each identity supplies `votes_per_identity` vote slots. Slots of
         # one identity must target *distinct* objects (the ledger dedups),
         # which the attack plans already guarantee by batching per object.
-        shuffled = list(self.rng.permutation(self.dishonest_ids))
-        self._unused = [
-            p for i in range(self.votes_per_identity) for p in shuffled
-        ]
+        self._unused = self._slot_pool(self.rng.permutation(self.dishonest_ids))
         self._bad = self.bad_object_ids()
-        self._bad_set = set(int(b) for b in self._bad)
         self._handled_window = (None, -1)
 
     @property
@@ -152,6 +148,10 @@ class SplitVoteAdversary(Adversary):
         return self._attack_iteration()
 
     # ------------------------------------------------------------------
+    def _slot_pool(self, shuffled: np.ndarray) -> List[int]:
+        """``votes_per_identity`` passes over one shuffled identity order."""
+        return [p for _ in range(self.votes_per_identity) for p in shuffled]
+
     def _take_votes(self, count: int) -> List[int]:
         """Consume ``count`` vote slots with pairwise-distinct identities.
 
@@ -206,11 +206,8 @@ class SplitVoteAdversary(Adversary):
         return self._cast(targets, need)
 
     def _attack_iteration(self) -> List[VoteAction]:
-        candidates = self.tracker.candidates
-        bad_candidates = np.array(
-            [c for c in candidates if int(c) in self._bad_set],
-            dtype=np.int64,
-        )
+        candidates = np.asarray(self.tracker.candidates, dtype=np.int64)
+        bad_candidates = candidates[np.isin(candidates, self._bad)]
         if bad_candidates.size == 0:
             return []
         need = math.floor(self.tracker.iteration_threshold()) + 1

@@ -24,17 +24,17 @@ its board).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.billboard.post import Post, PostKind
+from repro.billboard.post import REPORT_CODE, VOTE_CODE, Post, PostKind
 from repro.billboard.sparse import SparseVoteLedger, normalize_substrate
 from repro.billboard.votes import VoteLedger, VoteMode
 from repro.errors import ConfigurationError, InvalidPostError, TamperError
 
-_KIND_REPORT = 0
-_KIND_VOTE = 1
+if TYPE_CHECKING:  # the sim package imports this module
+    from repro.sim.actions import ActionBlock
 
 
 class _Column:
@@ -147,57 +147,42 @@ class LaneBoard:
         if players.size == 0:
             return
         self._validate_block(round_no, players, objects)
-        self._rounds.extend(np.full(players.size, round_no, np.int64))
-        self._players.extend(players)
-        self._objects.extend(objects)
-        self._values.extend(values)
-        self._kinds.extend(
-            np.full(
-                players.size,
-                _KIND_VOTE if kind is PostKind.VOTE else _KIND_REPORT,
-                np.int8,
-            )
-        )
-        self._last_round = round_no
+        code = VOTE_CODE if kind is PostKind.VOTE else REPORT_CODE
+        kinds = np.full(players.size, code, np.int8)
+        self._append(round_no, players, objects, values, kinds)
         if kind is PostKind.VOTE:
             self.ledger.record_block(round_no, players, objects)
 
-    def post_entries(
+    def post_entries(self, round_no: int, block: "ActionBlock") -> None:
+        """Append a mixed-kind block (an adversary turn), in order."""
+        if not len(block):
+            return
+        self._validate_block(round_no, block.players, block.objects)
+        self._append(
+            round_no, block.players, block.objects, block.values, block.kinds
+        )
+        vote_mask = block.kinds == VOTE_CODE
+        if vote_mask.any():
+            # Non-vote posts never touch the ledger, so recording the
+            # vote subset in order is equivalent to per-post recording.
+            self.ledger.record_block(
+                round_no, block.players[vote_mask], block.objects[vote_mask]
+            )
+
+    def _append(
         self,
         round_no: int,
-        entries: Sequence[Tuple[int, int, float, PostKind]],
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kinds: np.ndarray,
     ) -> None:
-        """Append mixed-kind entries (the adversary's batch), in order."""
-        if not entries:
-            return
-        players = np.fromiter(
-            (e[0] for e in entries), dtype=np.int64, count=len(entries)
-        )
-        objects = np.fromiter(
-            (e[1] for e in entries), dtype=np.int64, count=len(entries)
-        )
-        values = np.fromiter(
-            (e[2] for e in entries), dtype=np.float64, count=len(entries)
-        )
-        kinds = np.fromiter(
-            (_KIND_VOTE if e[3] is PostKind.VOTE else _KIND_REPORT for e in entries),
-            dtype=np.int8,
-            count=len(entries),
-        )
-        self._validate_block(round_no, players, objects)
         self._rounds.extend(np.full(players.size, round_no, np.int64))
         self._players.extend(players)
         self._objects.extend(objects)
         self._values.extend(values)
         self._kinds.extend(kinds)
         self._last_round = round_no
-        vote_mask = kinds == _KIND_VOTE
-        if vote_mask.any():
-            # Non-vote posts never touch the ledger, so recording the
-            # vote subset in order is equivalent to per-post recording.
-            self.ledger.record_block(
-                round_no, players[vote_mask], objects[vote_mask]
-            )
 
     def _validate_block(
         self, round_no: int, players: np.ndarray, objects: np.ndarray
@@ -251,7 +236,7 @@ class LaneBoard:
             cutoff = int(np.searchsorted(rounds, before_round, side="left"))
         keep = np.ones(cutoff, dtype=bool)
         if kind is not None:
-            want = _KIND_VOTE if kind is PostKind.VOTE else _KIND_REPORT
+            want = VOTE_CODE if kind is PostKind.VOTE else REPORT_CODE
             keep &= self._kinds.view()[:cutoff] == want
         if player is not None:
             keep &= self._players.view()[:cutoff] == player
@@ -267,7 +252,7 @@ class LaneBoard:
                 player=int(players[s]),
                 object_id=int(objects[s]),
                 reported_value=float(values[s]),
-                kind=PostKind.VOTE if kinds[s] == _KIND_VOTE else PostKind.REPORT,
+                kind=PostKind.VOTE if kinds[s] == VOTE_CODE else PostKind.REPORT,
             )
             for s in seqs
         ]

@@ -33,6 +33,11 @@ class PostKind(enum.Enum):
     VOTE = "vote"
 
 
+#: int8 code of each kind in the columnar logs (lane boards, action blocks)
+REPORT_CODE = 0
+VOTE_CODE = 1
+
+
 @dataclass(frozen=True)
 class Post:
     """One immutable billboard entry.

@@ -153,10 +153,11 @@ class VoteLedger:
         self._players = _IntColumn()
         self._objects = _IntColumn()
 
-        # Per-player effective vote targets (for MULTI advice and budgets).
-        self._votes_by_player: List[List[int]] = [[] for _ in range(n_players)]
+        # MULTI only: each voter's distinct effective targets (the other
+        # modes decide effectiveness from _current_vote/_vote_counts).
+        self._multi_targets: Dict[int, List[int]] = {}
 
-        # Current advice target per player; -1 means "no vote yet".
+        # Latest effective vote per player; -1 means "no vote yet".
         # player_array keeps million-player ledgers memmap-backed, the
         # same active-players-only budget the sparse substrate promises.
         self._current_vote = player_array(n_players, -1, np.int64)
@@ -164,8 +165,11 @@ class VoteLedger:
         # Effective-vote tally per player (vectorized votes_cast_by).
         self._vote_counts = player_array(n_players, 0, np.int64)
 
-        # Objects with >= 1 effective vote, in first-vote order.
-        self._voted_objects: Dict[int, int] = {}
+        # current_vote_array's as-of state: the advice array after the
+        # first _asof_cursor effective votes. The log is append-only, so
+        # a later horizon only applies the votes appended since.
+        self._asof = player_array(n_players, -1, np.int64)
+        self._asof_cursor = 0
 
         # Per-horizon query memo, invalidated on every effective record.
         # Within one round the engine, tracker, and advice resolution all
@@ -189,16 +193,15 @@ class VoteLedger:
         return self._record_one(post.round_no, post.player, post.object_id)
 
     def _record_one(self, round_no: int, player: int, obj: int) -> bool:
-        targets = self._votes_by_player[player]
         if self.mode is VoteMode.MUTABLE:
             # Latest vote is current; a repeat of the same object is a
             # no-op for the current pointer but does not add a new entry.
-            if targets and targets[-1] == obj:
+            if self._current_vote[player] == obj:
                 return False
-            targets.append(obj)
-        else:
-            if len(targets) >= self.max_votes_per_player:
-                return False  # excess votes are ignored by readers
+        elif self._vote_counts[player] >= self.max_votes_per_player:
+            return False  # excess votes are ignored by readers
+        elif self.mode is VoteMode.MULTI:
+            targets = self._multi_targets.setdefault(player, [])
             if obj in targets:
                 return False  # duplicate vote for the same object
             targets.append(obj)
@@ -207,7 +210,6 @@ class VoteLedger:
         self._objects.append(obj)
         self._current_vote[player] = obj
         self._vote_counts[player] += 1
-        self._voted_objects.setdefault(obj, round_no)
         self._memo.clear()
         return True
 
@@ -257,9 +259,6 @@ class VoteLedger:
             self._objects.extend(eff_objects)
             self._current_vote[eff_players] = eff_objects
             self._vote_counts[eff_players] += 1
-            for p, o in zip(eff_players, eff_objects):
-                self._votes_by_player[p].append(int(o))
-                self._voted_objects.setdefault(int(o), round_no)
             self._memo.clear()
         return effective
 
@@ -273,7 +272,8 @@ class VoteLedger:
 
     def votes_of(self, player: int) -> Tuple[int, ...]:
         """All effective vote targets of ``player``, in posting order."""
-        return tuple(self._votes_by_player[player])
+        mine = self._players.view() == player
+        return tuple(int(o) for o in self._objects.view()[mine])
 
     def current_vote_array(self, before_round: Optional[int] = None) -> np.ndarray:
         """Each player's current advice target (``-1`` when none).
@@ -291,39 +291,58 @@ class VoteLedger:
         cached = self._memo.get(key)
         if cached is not None:
             return cached.copy()
-        if before_round is not None:
-            self._note_horizon(before_round)
         if before_round is None:
-            if self.mode is VoteMode.MULTI:
-                result = self._first_vote_array(len(self._objects))
-            else:
-                result = self._current_vote.copy()
+            cutoff = len(self._objects)
         else:
+            self._note_horizon(before_round)
             cutoff = self._count_before(before_round)
-            if self.mode is VoteMode.MULTI:
-                result = self._first_vote_array(cutoff)
-            else:
-                # The latest vote before the cutoff wins (MUTABLE); in
-                # SINGLE mode there is at most one vote per player.
-                result = self._last_vote_array(cutoff)
+        if before_round is None and self.mode is not VoteMode.MULTI:
+            result = self._current_vote.copy()
+        elif cutoff < self._asof_cursor:
+            # An older horizon than the as-of state: full recompute.
+            result = self._vote_array_at(cutoff)
+        else:
+            self._advance_asof(cutoff)
+            result = self._asof.copy()
         self._memo[key] = result
         return result.copy()
 
-    def _first_vote_array(self, cutoff: int) -> np.ndarray:
+    def _advance_asof(self, cutoff: int) -> None:
+        """Apply effective votes ``[_asof_cursor, cutoff)`` to ``_asof``."""
+        lo = self._asof_cursor
+        if cutoff == lo:
+            return
+        players = self._players.view()[lo:cutoff]
+        objects = self._objects.view()[lo:cutoff]
+        if self.mode is VoteMode.MULTI:
+            # The first vote is the advice target: only voters without
+            # one yet take their first vote in the new stretch.
+            uniq, first = np.unique(players, return_index=True)
+            fresh = self._asof[uniq] == -1
+            self._asof[uniq[fresh]] = objects[first[fresh]]
+        elif self.mode is VoteMode.MUTABLE:
+            # The latest vote wins: a voter's last vote in the stretch.
+            uniq, first = np.unique(players[::-1], return_index=True)
+            self._asof[uniq] = objects[::-1][first]
+        else:
+            # SINGLE: each player has at most one effective vote.
+            self._asof[players] = objects
+        self._asof_cursor = cutoff
+
+    def _vote_array_at(self, cutoff: int) -> np.ndarray:
+        """The advice array after the first ``cutoff`` effective votes,
+        recomputed from the log (the as-of state's reference)."""
         result = player_array(self.n_players, -1, np.int64)
         players = self._players.view()[:cutoff]
+        objects = self._objects.view()[:cutoff]
+        if self.mode is not VoteMode.MULTI:
+            # The latest vote before the cutoff wins (MUTABLE; SINGLE has
+            # at most one): first occurrence in the reversed log.
+            players = players[::-1]
+            objects = objects[::-1]
         if players.size:
             uniq, first = np.unique(players, return_index=True)
-            result[uniq] = self._objects.view()[:cutoff][first]
-        return result
-
-    def _last_vote_array(self, cutoff: int) -> np.ndarray:
-        result = player_array(self.n_players, -1, np.int64)
-        players = self._players.view()[:cutoff][::-1]
-        if players.size:
-            # First occurrence in the reversed column = last vote overall.
-            uniq, first = np.unique(players, return_index=True)
-            result[uniq] = self._objects.view()[:cutoff][::-1][first]
+            result[uniq] = objects[first]
         return result
 
     def objects_with_votes(self, before_round: Optional[int] = None) -> np.ndarray:

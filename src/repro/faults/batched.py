@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.sim.actions import ActionBlock
 from repro.world.valuemodel import ValueModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
@@ -143,7 +144,9 @@ class BatchedFaultInjector:
                 continue
             due = injector.due_posts(round_no)
             if due:
-                boards.lane(int(k)).post_entries(round_no, due)
+                boards.lane(int(k)).post_entries(
+                    round_no, ActionBlock.from_entries(due)
+                )
         due_mask = down_until == round_no
         due_mask[~alive, :] = False
         if not due_mask.any():

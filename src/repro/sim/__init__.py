@@ -7,13 +7,14 @@ until it has probed a good object. The Byzantine adversary may post
 arbitrarily on behalf of dishonest players, observing everything realized
 so far (adaptive adversary, Section 2.3).
 
-* :mod:`~repro.sim.actions` — the adversary's vote actions.
+* :mod:`~repro.sim.actions` — the adversary's vote actions and their
+  columnar block form.
 * :class:`~repro.sim.engine.SynchronousEngine` — the round loop.
 * :class:`~repro.sim.metrics.RunMetrics` — per-run outcome record.
 * :mod:`~repro.sim.runner` — Monte-Carlo trial aggregation.
 """
 
-from repro.sim.actions import VoteAction
+from repro.sim.actions import ActionBlock, VoteAction
 from repro.sim.batch_engine import BatchedEngine, batch_fallback_reason
 from repro.sim.async_engine import (
     AsyncRunMetrics,
@@ -35,6 +36,7 @@ from repro.sim.sync_adapter import SynchronizedDistillAdapter
 from repro.sim.trace import Trace, TraceEvent, replay_metrics
 
 __all__ = [
+    "ActionBlock",
     "AsyncRunMetrics",
     "AsyncStrategy",
     "AsynchronousEngine",

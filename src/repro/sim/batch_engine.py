@@ -448,8 +448,10 @@ class BatchedEngine:
                         # a halted player can no longer be pending restart
                         down_until[k, halters] = -1
                     elif halters.size:
-                        lane_active_ids[k] = np.setdiff1d(
-                            lane_active_ids[k], halters, assume_unique=True
+                        # halters are a subset of the sorted active ids
+                        ids = lane_active_ids[k]
+                        lane_active_ids[k] = np.delete(
+                            ids, np.searchsorted(ids, halters)
                         )
                     halted_round[k, halters] = round_no
 
@@ -479,29 +481,27 @@ class BatchedEngine:
 
     # ------------------------------------------------------------------
     def _adversary_turn(self, lane: int, round_no: int) -> None:
+        """Post lane ``lane``'s adversary block after an identity check.
+
+        The whole block is checked before anything is posted, so a
+        violating adversary leaves the lane board untouched.
+        """
         board = self.boards.lane(lane)
         full_view = BillboardView(board, before_round=None)
-        actions = self.adversary.act(lane, round_no, full_view)
-        if not actions:
+        block = self.adversary.act(lane, round_no, full_view)
+        if not len(block):
             return
         honest = self.instances[lane].honest_mask
-        entries = []
-        for action in actions:
-            player = int(action.player)
-            if not (0 <= player < honest.size) or honest[player]:
-                raise AdversaryViolationError(
-                    f"adversary {self.adversary.name!r} tried to post as "
-                    f"player {action.player}, which it does not control"
-                )
-            entries.append(
-                (
-                    player,
-                    int(action.object_id),
-                    float(action.claimed_value),
-                    action.kind,
-                )
+        players = block.players
+        known = (players >= 0) & (players < honest.size)
+        forged = ~known | honest[np.where(known, players, 0)]
+        if forged.any():
+            raise AdversaryViolationError(
+                f"adversary {self.adversary.name!r} tried to post as "
+                f"player {players[np.argmax(forged)]}, which it does not "
+                "control"
             )
-        board.post_entries(round_no, entries)
+        board.post_entries(round_no, block)
 
     def _lane_metrics(
         self,

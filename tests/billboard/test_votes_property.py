@@ -108,3 +108,77 @@ def test_objects_with_votes_matches_counts(stream):
     assert np.array_equal(
         ledger.objects_with_votes(), np.flatnonzero(counts > 0)
     )
+
+
+# Interleaved ledger operations for the as-of cursor:
+#   ("one", advance, [(player, obj)])   record() one vote post
+#   ("block", advance, [(player, obj)]) record_block() a same-round block
+#   ("query", back)                     current_vote_array at a horizon
+# ``advance`` moves the round forward (0 keeps it); a query's horizon is
+# ``round + 1 - back``, so ``back > 0`` asks for an older horizon.
+_votes = st.tuples(
+    st.integers(0, N_PLAYERS - 1), st.integers(0, N_OBJECTS - 1)
+)
+ledger_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("one"), st.integers(0, 2), st.lists(_votes, min_size=1, max_size=1)
+        ),
+        st.tuples(
+            st.just("block"), st.integers(0, 2), st.lists(_votes, max_size=10)
+        ),
+        st.tuples(st.just("query"), st.integers(0, 4)),
+    ),
+    max_size=40,
+)
+
+
+def _vote_post(round_no, player, obj):
+    return Post(
+        seq=0,
+        round_no=round_no,
+        player=player,
+        object_id=obj,
+        reported_value=1.0,
+        kind=PostKind.VOTE,
+    )
+
+
+def _recomputed(mode, posts, horizon):
+    """The advice array from scratch: a fresh ledger fed the posts
+    stamped before ``horizon``, read at its full (un-horizoned) state."""
+    fresh = VoteLedger(N_PLAYERS, N_OBJECTS, mode=mode, max_votes_per_player=2)
+    for round_no, player, obj in posts:
+        if round_no < horizon:
+            fresh.record(_vote_post(round_no, player, obj))
+    return fresh.current_vote_array()
+
+
+@given(st.sampled_from(list(VoteMode)), ledger_ops)
+@settings(max_examples=150, deadline=None)
+def test_asof_cursor_matches_recompute(mode, ops):
+    ledger = VoteLedger(N_PLAYERS, N_OBJECTS, mode=mode, max_votes_per_player=2)
+    posts = []
+    round_no = 0
+    for op in ops:
+        if op[0] == "query":
+            horizon = max(0, round_no + 1 - op[1])
+            assert np.array_equal(
+                ledger.current_vote_array(horizon),
+                _recomputed(mode, posts, horizon),
+            ), (mode, horizon, posts)
+            continue
+        kind, advance, block = op
+        round_no += advance
+        if kind == "one":
+            ledger.record(_vote_post(round_no, *block[0]))
+        else:
+            ledger.record_block(
+                round_no,
+                np.array([p for p, _ in block], dtype=np.int64),
+                np.array([o for _, o in block], dtype=np.int64),
+            )
+        posts.extend((round_no, p, o) for p, o in block)
+    assert np.array_equal(
+        ledger.current_vote_array(), _recomputed(mode, posts, round_no + 1)
+    )

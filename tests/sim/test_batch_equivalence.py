@@ -18,6 +18,11 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.adversaries.batched import (
+    BatchedSplitVoteAdversary,
+    PerLaneAdversary,
+    batched_adversary_for,
+)
 from repro.adversaries.concentrate import ConcentrateAdversary
 from repro.adversaries.random_votes import RandomVotesAdversary
 from repro.adversaries.silent import SilentAdversary
@@ -521,9 +526,42 @@ class TestSeedProperty:
         assert_results_identical(scalar, batched)
 
 
+class _PerLaneSplitVote(SplitVoteAdversary):
+    """The scalar split-vote adversary without its native batched form."""
+
+    make_batched = None
+
+
 class TestAdapterLanes:
     """Strategies/adversaries without a native batched form go through the
     per-lane adapters — still bit-identical, just not vectorized."""
+
+    @pytest.mark.parametrize("vname", list(VOTE_MODES))
+    def test_native_split_vote_matches_per_lane_adapter(self, vname):
+        # native ≡ per-lane adapter over the scalar adversary, both on
+        # the batched engine: the oracle that needs no scalar engine
+        adapter = batched_adversary_for(_PerLaneSplitVote, 4)
+        assert type(adapter) is PerLaneAdversary
+        assert type(batched_adversary_for(SplitVoteAdversary, 4)) is (
+            BatchedSplitVoteAdversary
+        )
+        # a world where half the players are dishonest, so the attack
+        # spends multi-vote batches over several targets per window
+        hard = factory(n=64, m=64, beta=1 / 16, alpha=0.5)
+        native, per_lane = (
+            run_trials(
+                hard,
+                DistillStrategy,
+                make_adversary,
+                n_trials=8,
+                seed=42,
+                config=_config(vname),
+                keep_metrics=True,
+                batch_lanes=4,
+            )
+            for make_adversary in (SplitVoteAdversary, _PerLaneSplitVote)
+        )
+        assert_results_identical(native, per_lane)
 
     def test_full_cooperation_native_batched(self):
         config = _config("single")
