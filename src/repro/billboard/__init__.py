@@ -12,13 +12,15 @@ The components are:
   integrity enforcement.
 * :class:`~repro.billboard.votes.VoteLedger` — the *reader-side* vote
   accounting: one vote per player (Figure 1), or the first ``f`` votes
-  (Section 4.1), or the mutable best-so-far vote (Section 5.3).
+  (Section 4.1), or the mutable best-so-far vote (Section 5.3). It is the
+  one ledger every board below carries.
 * :class:`~repro.billboard.views.BillboardView` — the read-only window a
   player or adversary is handed during a round.
-* :class:`~repro.billboard.sparse.SparseBoard` /
-  :class:`~repro.billboard.sparse.SparseVoteLedger` — the sparse columnar
-  substrate for population-scale worlds (``substrate="sparse"``), bit-
-  identical to the dense board/ledger for every query.
+* :class:`~repro.billboard.lanes.LaneBoard` — the batched engine's
+  per-lane columnar log.
+* :class:`~repro.billboard.sparse.SparseBoard` — the scalar columnar post
+  log for population-scale worlds (``substrate="sparse"``), bit-identical
+  to :class:`Billboard` for every query but without the hash chain.
 """
 
 from repro.billboard.board import Billboard
@@ -28,7 +30,6 @@ from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
     SUBSTRATE_CHOICES,
     SparseBoard,
-    SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
     substrate_fallback_reason,
@@ -46,7 +47,6 @@ __all__ = [
     "SPARSE_AUTO_THRESHOLD",
     "SUBSTRATE_CHOICES",
     "SparseBoard",
-    "SparseVoteLedger",
     "VoteLedger",
     "VoteMode",
     "choose_substrate",

@@ -29,44 +29,11 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.billboard.post import REPORT_CODE, VOTE_CODE, Post, PostKind
-from repro.billboard.sparse import SparseVoteLedger, normalize_substrate
-from repro.billboard.votes import VoteLedger, VoteMode
+from repro.billboard.votes import VoteLedger, VoteMode, _IntColumn
 from repro.errors import ConfigurationError, InvalidPostError, TamperError
 
 if TYPE_CHECKING:  # the sim package imports this module
     from repro.sim.actions import ActionBlock
-
-
-class _Column:
-    """A growable single-dtype column with amortized O(1) appends."""
-
-    __slots__ = ("_buf", "_size")
-
-    def __init__(self, dtype: "np.typing.DTypeLike", capacity: int = 64) -> None:
-        self._buf = np.empty(max(int(capacity), 1), dtype=dtype)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, values: np.ndarray) -> None:
-        needed = self._size + values.shape[0]
-        if needed > self._buf.shape[0]:
-            capacity = self._buf.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=self._buf.dtype)
-            grown[: self._size] = self._buf[: self._size]
-            self._buf = grown
-        self._buf[self._size : needed] = values
-        self._size = needed
-
-    def view(self) -> np.ndarray:
-        """Zero-copy read-only window onto the filled prefix (see
-        :meth:`~repro.billboard.votes._IntColumn.view`)."""
-        window = self._buf[: self._size]
-        window.flags.writeable = False
-        return window
 
 
 class LaneBoard:
@@ -97,31 +64,20 @@ class LaneBoard:
         n_objects: int,
         vote_mode: VoteMode = VoteMode.SINGLE,
         max_votes_per_player: int = 1,
-        substrate: str = "dense",
     ) -> None:
         self.n_players = n_players
         self.n_objects = n_objects
-        # The lane board's post log is already columnar; the substrate
-        # knob selects the *ledger* representation — the dense ledger's
-        # O(n) per-player state vs the object-sharded sparse ledger.
-        # Both are bit-identical for every query (the equivalence grid
-        # pins this), so the choice never affects results.
-        ledger_cls = (
-            SparseVoteLedger
-            if normalize_substrate(substrate) == "sparse"
-            else VoteLedger
-        )
-        self.ledger: "VoteLedger | SparseVoteLedger" = ledger_cls(
+        self.ledger = VoteLedger(
             n_players,
             n_objects,
             mode=vote_mode,
             max_votes_per_player=max_votes_per_player,
         )
-        self._rounds = _Column(np.int64)
-        self._players = _Column(np.int64)
-        self._objects = _Column(np.int64)
-        self._values = _Column(np.float64)
-        self._kinds = _Column(np.int8)
+        self._rounds = _IntColumn(dtype=np.int64)
+        self._players = _IntColumn(dtype=np.int64)
+        self._objects = _IntColumn(dtype=np.int64)
+        self._values = _IntColumn(dtype=np.float64)
+        self._kinds = _IntColumn(dtype=np.int8)
         self._last_round = -1
 
     # ------------------------------------------------------------------
@@ -284,7 +240,6 @@ class LaneBillboard:
         n_objects: int,
         vote_mode: VoteMode = VoteMode.SINGLE,
         max_votes_per_player: int = 1,
-        substrate: str = "dense",
     ) -> None:
         if n_lanes < 1:
             raise ConfigurationError(f"need at least one lane, got {n_lanes}")
@@ -295,7 +250,6 @@ class LaneBillboard:
                 n_objects,
                 vote_mode=vote_mode,
                 max_votes_per_player=max_votes_per_player,
-                substrate=substrate,
             )
             for _ in range(n_lanes)
         ]

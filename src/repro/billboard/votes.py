@@ -42,11 +42,12 @@ class _IntColumn:
 
     The ledger stores its effective-vote log as three of these (rounds,
     players, objects) so that every query is a vectorized slice instead of
-    a Python walk. :meth:`view` returns a zero-copy window onto the filled
-    prefix; callers must not mutate it. The default ``int64`` matches the
-    dense ledger's arithmetic; the sparse substrate passes narrower
-    dtypes (``int32`` ids, ``float64`` values, ``int8`` kinds) to keep
-    million-post logs compact.
+    a Python walk, and the columnar boards (lane and sparse) store their
+    post logs the same way. :meth:`view` returns a zero-copy window onto
+    the filled prefix; callers must not mutate it. The default ``int64``
+    matches the ledger's arithmetic; boards pass the dtype of each column
+    (``float64`` values, ``int8`` kinds, and on the sparse board
+    ``int32`` ids to keep million-post logs compact).
     """
 
     __slots__ = ("_buf", "_size")
@@ -158,8 +159,8 @@ class VoteLedger:
         self._multi_targets: Dict[int, List[int]] = {}
 
         # Latest effective vote per player; -1 means "no vote yet".
-        # player_array keeps million-player ledgers memmap-backed, the
-        # same active-players-only budget the sparse substrate promises.
+        # player_array keeps million-player ledgers memmap-backed
+        # (see repro.world.playerstate).
         self._current_vote = player_array(n_players, -1, np.int64)
 
         # Effective-vote tally per player (vectorized votes_cast_by).

@@ -108,9 +108,9 @@ def _add_substrate_flag(command: argparse.ArgumentParser) -> None:
         choices=list(SUBSTRATE_CHOICES),
         default=None,
         help=(
-            "billboard storage substrate (default: REPRO_SUBSTRATE or "
-            "auto: sparse at large n, dense otherwise). Never changes "
-            "results."
+            "post log of the scalar engine and the service (default: "
+            "REPRO_SUBSTRATE or auto: sparse at large n, dense "
+            "otherwise); batched runs ignore it. Never changes results."
         ),
     )
 

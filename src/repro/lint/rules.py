@@ -108,10 +108,9 @@ RULES: Dict[str, Rule] = {
             "RPL010",
             "dense-player-allocation",
             "dense per-player allocation in a billboard module",
-            "billboard storage must scale with *active* players, not n "
-            "(the sparse-substrate contract); keep per-player state in "
-            "columnar/dict form (repro.billboard.sparse) or allocate "
-            "through repro.world.player_array",
+            "billboard storage must scale with *active* players, not n; "
+            "keep per-player state columnar or allocate it through "
+            "repro.world.player_array (memmap-backed at scale)",
         ),
         Rule(
             "RPL011",
@@ -404,8 +403,9 @@ class _Checker(ast.NodeVisitor):
 
     def _check_dense_allocation(self, node: ast.Call, resolved: str) -> None:
         """RPL010: a numpy allocation sized by the player count inside
-        ``billboard/`` defeats the sparse substrate's active-players-only
-        scaling. The shape is the first positional argument or ``shape=``."""
+        ``billboard/`` defeats the active-players-only scaling that
+        :func:`~repro.world.playerstate.player_array` provides. The
+        shape is the first positional argument or ``shape=``."""
         if resolved not in _DENSE_ALLOCATORS:
             return
         shape_args = list(node.args[:1]) + [

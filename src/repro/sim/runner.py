@@ -423,7 +423,6 @@ def _execute_trial_batch(
     keep_metrics: bool,
     fault_plan: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
-    substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> List[Tuple[int, _TrialRecord]]:
     """Run one group of trials as lanes of a single :class:`BatchedEngine`.
@@ -480,7 +479,6 @@ def _execute_trial_batch(
             ctxs=ctxs,
             faults=faults,
             obs=obs,
-            substrate=substrate,
         )
         metrics = engine.run()
     if obs is not None:
@@ -531,7 +529,6 @@ def _execute_grid_group(
     config: Optional[EngineConfig],
     keep_metrics: bool,
     timeout: Optional[float],
-    substrate: Optional[str],
     obs: Optional[Registry],
 ) -> List[_TrialRecord]:
     """Run one mixed-cell lane group through a single :class:`BatchedEngine`.
@@ -611,7 +608,6 @@ def _execute_grid_group(
             ctxs=ctxs,
             faults=faults,
             obs=obs,
-            substrate=substrate,
         )
         metrics = engine.run()
     if obs is not None:
@@ -645,8 +641,9 @@ def run_trial_grid(
     one :class:`~repro.sim.batch_engine.BatchedEngine`. Lanes carry
     their cell's own alpha/beta (via the instance), strategy, adversary,
     and fault plan; all cells must share ``(n, m)`` (the engine enforces
-    this) and the grid shares one ``config`` and one ``substrate`` knob
-    (bit-inert — see :func:`run_trials`).
+    this) and the grid shares one ``config``. The ``substrate`` knob is
+    validated and recorded in each cell's manifest; it only reaches the
+    scalar fallback (bit-inert — see :func:`run_trials`).
 
     Returns one :class:`TrialResults` per cell, in cell order, each
     bit-identical — ``per_trial`` arrays, kept metrics, ``fault_info``,
@@ -725,8 +722,7 @@ def run_trial_grid(
             group = units[start : start + lanes]
             try:
                 records = _execute_grid_group(
-                    group, cells, config, keep_metrics, timeout, substrate,
-                    registry,
+                    group, cells, config, keep_metrics, timeout, registry,
                 )
             except TrialTimeoutError as exc:
                 labels = ", ".join(
@@ -977,15 +973,17 @@ def run_trials(
         trials are already checkpointed when ``checkpoint_path`` is
         set, so an aborted sweep resumes cleanly).
     substrate:
-        Billboard storage substrate for every trial's engine:
-        ``"dense"`` (the original per-player arrays), ``"sparse"`` (the
-        columnar sharded-ledger substrate that scales with *active*
-        players — see :mod:`repro.billboard.sparse`), or ``"auto"``
-        (``None`` too) to pick sparse at or above
+        Post log of the scalar engine's board: ``"dense"`` (the chained
+        :class:`~repro.billboard.board.Billboard`), ``"sparse"`` (the
+        columnar :class:`~repro.billboard.sparse.SparseBoard`, ~17 bytes
+        a post), or ``"auto"`` (``None`` too) to pick sparse at or above
         :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players.
-        The substrate is bit-inert: results are identical for every
-        choice (enforced by the sparse equivalence suite); the requested
-        knob is recorded in the manifest's ``substrate`` field.
+        Both carry the same vote ledger, and batched runs
+        (``batch_lanes > 1``) use their columnar lane boards whatever
+        the knob says. The substrate is bit-inert: results are identical
+        for every choice (enforced by the sparse equivalence suite); the
+        requested knob is validated up front and recorded in the
+        manifest's ``substrate`` field.
     checkpoint_path:
         Incremental JSONL checkpoint of completed trials. If the file
         already exists (same seed and trial count — anything else raises
@@ -1081,11 +1079,14 @@ def run_trials(
         keep_metrics=keep_metrics,
         fault_plan=fault_plan,
         timeout=timeout,
-        substrate=substrate,
         obs=registry,
     )
     if lanes > 1:
         state["batch_lanes"] = lanes
+    else:
+        # lane boards are columnar already: the substrate knob selects
+        # the scalar engine's post log only
+        state["substrate"] = substrate
     on_chunk_done = checkpoint.append if checkpoint is not None else None
 
     retry = RetryPolicy(max_retries=max_retries, backoff_base=backoff_base)

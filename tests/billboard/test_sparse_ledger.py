@@ -1,13 +1,13 @@
 """Unit parity for the sparse columnar substrate.
 
-:class:`~repro.billboard.sparse.SparseVoteLedger` and
-:class:`~repro.billboard.sparse.SparseBoard` promise *bit-identical*
-behaviour to the dense :class:`~repro.billboard.votes.VoteLedger` and
-:class:`~repro.billboard.board.Billboard` for every vote mode and every
-query — the substrate knob must never change a result. This module
-drives both implementations through the same randomized workloads and
-asserts every observable agrees, plus the pinned satellite contracts:
-empty batches are explicit no-ops and column views are read-only.
+:class:`~repro.billboard.sparse.SparseBoard` promises *bit-identical*
+behaviour to the chained :class:`~repro.billboard.board.Billboard` for
+every vote mode and every query — the substrate knob must never change
+a result. Both boards carry the same
+:class:`~repro.billboard.votes.VoteLedger`, so what this module drives
+through the same randomized workloads is the two post logs, plus the
+pinned satellite contracts: empty batches are explicit no-ops and
+column views are read-only.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.billboard.post import Post, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
     SparseBoard,
-    SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
     substrate_fallback_reason,
@@ -46,90 +45,33 @@ def _vote_post(round_no, player, obj):
     )
 
 
-def _pair(mode_name, n_players=24, n_objects=12):
-    mode, cap = MODES[mode_name]
-    dense = VoteLedger(
-        n_players, n_objects, mode=mode, max_votes_per_player=cap
-    )
-    sparse = SparseVoteLedger(
-        n_players, n_objects, mode=mode, max_votes_per_player=cap
-    )
-    return dense, sparse
-
-
-def _assert_ledgers_agree(dense, sparse, horizons):
-    for horizon in horizons:
-        for name in ("current_vote_array", "objects_with_votes"):
-            a = getattr(dense, name)(horizon)
-            b = getattr(sparse, name)(horizon)
-            assert np.array_equal(a, b), (name, horizon)
-            assert a.dtype == b.dtype, (name, horizon)
-    for start, end in [(0, 1), (0, 50), (2, 5), (3, 3), (1, 10)]:
-        a = dense.counts_in_window(start, end)
-        b = sparse.counts_in_window(start, end)
-        assert np.array_equal(a, b), (start, end)
-    assert dense.effective_vote_count == sparse.effective_vote_count
-    for player in range(dense.n_players):
-        assert dense.votes_of(player) == sparse.votes_of(player), player
-    players = np.arange(dense.n_players)
-    assert dense.votes_cast_by(players) == sparse.votes_cast_by(players)
-
-
 class TestLedgerParity:
-    """Randomized interleaved record/record_block parity, every mode."""
-
-    @pytest.mark.parametrize("mode_name", sorted(MODES))
-    def test_interleaved_workload_matches_dense(self, mode_name):
-        rng = np.random.default_rng(2026)
-        for trial in range(10):
-            dense, sparse = _pair(mode_name)
-            round_no = 0
-            for _step in range(40):
-                if rng.random() < 0.5:
-                    player = int(rng.integers(dense.n_players))
-                    obj = int(rng.integers(dense.n_objects))
-                    post = _vote_post(round_no, player, obj)
-                    assert dense.record(post) == sparse.record(post)
-                else:
-                    k = int(rng.integers(0, 6))
-                    players = rng.integers(0, dense.n_players, size=k)
-                    objects = rng.integers(0, dense.n_objects, size=k)
-                    a = dense.record_block(round_no, players, objects)
-                    b = sparse.record_block(round_no, players, objects)
-                    assert np.array_equal(a, b)
-                if rng.random() < 0.4:
-                    round_no += int(rng.integers(1, 3))
-                if rng.random() < 0.3:
-                    horizon = int(rng.integers(0, round_no + 2))
-                    _assert_ledgers_agree(dense, sparse, [horizon])
-            _assert_ledgers_agree(dense, sparse, [None, 0, 1, round_no + 1])
+    """The ledger contracts both boards inherit from the one ledger."""
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     def test_empty_record_block_is_a_no_op(self, mode_name):
-        dense, sparse = _pair(mode_name)
-        for ledger in (dense, sparse):
-            accepted = ledger.record_block(
-                3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            )
-            assert accepted.shape == (0,)
-            assert accepted.dtype == np.bool_
-            assert ledger.effective_vote_count == 0
-        _assert_ledgers_agree(dense, sparse, [None, 0, 5])
+        mode, cap = MODES[mode_name]
+        ledger = VoteLedger(24, 12, mode=mode, max_votes_per_player=cap)
+        ledger.record(_vote_post(0, 1, 2))
+        before = ledger.current_vote_array(1)
+        accepted = ledger.record_block(
+            3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        )
+        assert accepted.shape == (0,)
+        assert accepted.dtype == np.bool_
+        assert ledger.effective_vote_count == 1
+        assert np.array_equal(ledger.current_vote_array(1), before)
 
     def test_constructor_errors_match_dense(self):
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(0, 4)
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(4, 4, mode=VoteMode.MULTI, max_votes_per_player=0)
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(4, 4, n_shards=0)
-
-    def test_shards_partition_the_vote_stream(self):
-        _dense, sparse = _pair("single")
-        players = np.arange(10)
-        objects = np.arange(10) % sparse.n_objects
-        sparse.record_block(0, players, objects)
-        assert sum(sparse.shard_sizes()) == sparse.effective_vote_count
+        for args, kwargs in [
+            ((0, 4), {}),
+            ((4, 4), {"vote_mode": VoteMode.MULTI, "max_votes_per_player": 0}),
+        ]:
+            with pytest.raises(ConfigurationError) as dense_err:
+                Billboard(*args, **kwargs)
+            with pytest.raises(ConfigurationError) as sparse_err:
+                SparseBoard(*args, **kwargs)
+            assert str(dense_err.value) == str(sparse_err.value)
 
 
 class TestBoardParity:
