@@ -1,34 +1,34 @@
-"""Million-player scale benchmark — dense vs sparse substrate memory.
+"""Million-player scale benchmark — peak RSS of the one columnar board.
 
 Records ``BENCH_scale.json`` at the repo root (with a copy under
 ``benchmarks/results/``): an E3-style sweep (DISTILL vs the adaptive
-split-vote adversary at ``beta = 1/n``, ``m = n``) over player counts,
-run once per substrate, measuring **incremental peak RSS** and rounds
-per second for each cell.
+split-vote adversary at ``beta = 1/n``, ``m = n``, negative reports
+recorded) over player counts, measuring **incremental peak RSS** and
+rounds per second for each cell.
 
 Methodology
 -----------
 Every cell runs in its own subprocess so ``ru_maxrss`` reflects exactly
 one run; a null subprocess (same imports, no cell) is measured first and
 subtracted, so the reported number is the cell's *incremental* peak RSS,
-not interpreter + numpy overhead. Dense cells are measured at the small
-end of the sweep and fitted linearly in ``n``; the fit is extrapolated
-to the large-``n`` cells where allocating dense per-player state would
-be wasteful or impossible. The headline criterion — sparse at
-``n = 10^5`` must sit at least ``RSS_RATIO_FLOOR``× below the dense
-extrapolation — is asserted by the pytest entry and by the CI
-``scale-smoke`` job.
+not interpreter + numpy overhead.
 
-Cells that both substrates run (the overlap of the dense and sparse
-sweeps) must produce bit-identical run digests: the substrate knob is
-bit-inert, and this benchmark re-proves it at scale on every run. Each
-cell also snapshots its ``substrate.*`` observability counters; any
-``substrate.fallback`` is a hard failure.
+Two gates, asserted by the pytest entry and by the CI ``scale-smoke``
+job:
+
+* **the memory floor** — at ``n = 10^5`` the incremental RSS must sit at
+  least ``RSS_RATIO_FLOOR``× below :data:`DENSE_FIT`, the linear fit of
+  the per-post-object board's RSS frozen from the last sweep that could
+  still run it (``n`` = 10^4, 3·10^4, 10^5): at most 133 345 KB;
+* **bit-identity** — at the default seed every cell must reproduce its
+  :data:`FROZEN_DIGESTS` entry, recorded when the per-post-object board
+  and the columnar board both ran these cells and agreed.
 
 Run directly (``python benchmarks/bench_scale.py``) or through pytest
 (``pytest benchmarks/bench_scale.py``). ``REPRO_BENCH_SCALE=smoke``
-shrinks the sweep for CI smoke jobs (sparse stops at ``n = 10^5``);
-the full sweep adds ``n ∈ {5·10^5, 10^6}`` sparse cells.
+shrinks the sweep for CI smoke jobs (``n`` ∈ {10^4, 10^5}); the full
+sweep runs every ``n`` in :data:`FROZEN_DIGESTS`. One cell:
+``python benchmarks/bench_scale.py --cell <n> <seed>`` prints its JSON.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import resource
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -55,28 +55,43 @@ OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_scale.json")
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "full")
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
-#: acceptance floor: sparse incremental RSS at the headline cell must be
-#: at least this many times below the dense linear-fit extrapolation
+#: acceptance floor: incremental RSS at the headline cell must be at
+#: least this many times below the frozen dense fit
 RSS_RATIO_FLOOR = 5.0
 #: the cell the floor is asserted on
 HEADLINE_N = 100_000
 
-if SCALE == "smoke":
-    DENSE_NS = [10_000, 30_000]
-    SPARSE_NS = [10_000, 100_000]
-else:
-    DENSE_NS = [10_000, 30_000, 100_000]
-    SPARSE_NS = [10_000, 100_000, 500_000, 1_000_000]
+#: incremental peak RSS (KB) of the per-post-object board, fitted
+#: linearly in n over n = 10^4, 3·10^4, 10^5 at seed 0
+DENSE_FIT = {
+    "slope_kb_per_player": 6.888035820895524,
+    "intercept_kb": -22077.671641791112,
+}
+
+#: n -> run digest of the seed-0 cell; every recorded board agreed
+FROZEN_DIGESTS = {
+    10_000: "43379a5d65a9a38e6ecb1f3b839ecc8e23926deec3c7bcc5b085a12b80f29f04",
+    30_000: "94ef6a2be6ffce609125d0d7069ce2df5fcbf8dae6b1cc98cf8a73ea853cfa70",
+    100_000: "c70099b2ecef595205fab2c7d700599981002c154db12578ba7b610252996f47",
+    500_000: "15cd3ec9f02702b4c2bf464f26394d2010ce7f4e3ccf5e4c0966572ab4498fdf",
+    1_000_000: "a5f31f2f154b7580c74a2fe5c4cd4351cc4192841bcda13c26d1afe3429ea68b",
+}
+
+NS = [10_000, HEADLINE_N] if SCALE == "smoke" else sorted(FROZEN_DIGESTS)
+
+
+def dense_fit_kb(n: int) -> float:
+    """The frozen dense fit's incremental RSS at ``n`` players."""
+    return DENSE_FIT["slope_kb_per_player"] * n + DENSE_FIT["intercept_kb"]
 
 
 # ----------------------------------------------------------------------
 # Child process: one cell, one JSON line
 # ----------------------------------------------------------------------
-def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
+def _run_cell(n: int, seed: int) -> Dict[str, object]:
     """Run one E3-style cell and report peak RSS + a run digest."""
     from repro.adversaries.split_vote import SplitVoteAdversary
     from repro.core.distill import DistillStrategy
-    from repro.obs.registry import Registry
     from repro.sim.engine import EngineConfig, SynchronousEngine
     from repro.world.generators import planted_instance
 
@@ -84,7 +99,6 @@ def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
     instance = planted_instance(
         n=n, m=n, beta=1.0 / n, alpha=0.75, rng=np.random.default_rng(world)
     )
-    registry = Registry()
     engine = SynchronousEngine(
         instance,
         DistillStrategy(),
@@ -92,8 +106,6 @@ def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
         rng=np.random.default_rng(honest),
         adversary_rng=np.random.default_rng(adversary),
         config=EngineConfig(max_rounds=100_000, record_reports=True),
-        obs=registry,
-        substrate=substrate,
     )
     start = time.perf_counter()
     metrics = engine.run()
@@ -110,11 +122,8 @@ def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
         digest.update(np.ascontiguousarray(array).tobytes())
     digest.update(str(metrics.rounds).encode())
 
-    counters = registry.snapshot()["counters"]
     return {
         "n": n,
-        "substrate": substrate,
-        "resolved_substrate": engine.substrate,
         "seed": seed,
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "elapsed_seconds": elapsed,
@@ -122,11 +131,6 @@ def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
         "posts": len(engine.board),
         "all_honest_satisfied": bool(metrics.all_honest_satisfied),
         "digest": digest.hexdigest(),
-        "substrate_counters": {
-            key: value
-            for key, value in counters.items()
-            if key.startswith("substrate.")
-        },
     }
 
 
@@ -134,7 +138,6 @@ def _run_null() -> Dict[str, object]:
     """Import everything a cell imports, allocate nothing, report RSS."""
     import repro.adversaries.split_vote  # noqa: F401
     import repro.core.distill  # noqa: F401
-    import repro.obs.registry  # noqa: F401
     import repro.sim.engine  # noqa: F401
     import repro.world.generators  # noqa: F401
 
@@ -146,15 +149,15 @@ def _run_null() -> Dict[str, object]:
 def _child_main(argv: List[str]) -> None:
     if argv[0] == "--null":
         payload = _run_null()
-    else:  # --cell <n> <substrate> <seed>
-        _, n, substrate, seed = argv
-        payload = _run_cell(int(n), substrate, int(seed))
+    else:  # --cell <n> <seed>
+        _, n, seed = argv
+        payload = _run_cell(int(n), int(seed))
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
 
 
 # ----------------------------------------------------------------------
-# Parent process: sweep, fit, criterion
+# Parent process: sweep, floor, digests
 # ----------------------------------------------------------------------
 def _spawn(args: List[str]) -> Dict[str, object]:
     env = dict(os.environ)
@@ -170,26 +173,19 @@ def _spawn(args: List[str]) -> Dict[str, object]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _measure_cell(
-    n: int, substrate: str, baseline_kb: int
-) -> Dict[str, object]:
-    cell = _spawn(["--cell", str(n), substrate, str(SEED)])
+def _measure_cell(n: int, baseline_kb: int) -> Dict[str, object]:
+    cell = _spawn(["--cell", str(n), str(SEED)])
     cell["incremental_rss_kb"] = max(
         0, int(cell["ru_maxrss_kb"]) - baseline_kb
     )
     cell["rounds_per_second"] = cell["rounds"] / max(
         cell["elapsed_seconds"], 1e-9
     )
-    return cell
-
-
-def _linear_fit(ns: List[int], rss_kb: List[int]):
-    slope, intercept = np.polyfit(
-        np.asarray(ns, dtype=np.float64),
-        np.asarray(rss_kb, dtype=np.float64),
-        1,
+    cell["dense_fit_rss_kb"] = dense_fit_kb(n)
+    cell["rss_ratio_vs_dense_fit"] = cell["dense_fit_rss_kb"] / max(
+        cell["incremental_rss_kb"], 1
     )
-    return float(slope), float(intercept)
+    return cell
 
 
 def main() -> Dict[str, object]:
@@ -197,68 +193,30 @@ def main() -> Dict[str, object]:
     baseline_kb = int(baseline["ru_maxrss_kb"])
     print(f"null baseline: {baseline_kb} KB peak RSS")
 
-    dense_cells = []
-    for n in DENSE_NS:
-        cell = _measure_cell(n, "dense", baseline_kb)
-        dense_cells.append(cell)
+    cells = []
+    for n in NS:
+        cell = _measure_cell(n, baseline_kb)
+        cells.append(cell)
         print(
-            f"dense  n={n:>9,}: {cell['incremental_rss_kb']:>9,} KB, "
-            f"{cell['rounds']} rounds, "
-            f"{cell['rounds_per_second']:.1f} rounds/s"
-        )
-    sparse_cells = []
-    for n in SPARSE_NS:
-        cell = _measure_cell(n, "sparse", baseline_kb)
-        sparse_cells.append(cell)
-        print(
-            f"sparse n={n:>9,}: {cell['incremental_rss_kb']:>9,} KB, "
+            f"n={n:>9,}: {cell['incremental_rss_kb']:>9,} KB "
+            f"({cell['rss_ratio_vs_dense_fit']:.1f}x below the dense fit), "
             f"{cell['rounds']} rounds, "
             f"{cell['rounds_per_second']:.1f} rounds/s"
         )
 
-    for cell in dense_cells + sparse_cells:
-        fallbacks = cell["substrate_counters"].get("substrate.fallback", 0)
-        assert fallbacks == 0, (
-            f"cell n={cell['n']} {cell['substrate']} fell back: "
-            f"{cell['substrate_counters']}"
-        )
-        assert cell["resolved_substrate"] == cell["substrate"], cell
+    # bit-identity at the seed the digests were frozen at
+    digest_checked = []
+    if SEED == 0:
+        for cell in cells:
+            assert cell["digest"] == FROZEN_DIGESTS[cell["n"]], (
+                f"n={cell['n']} changed the run: {cell['digest'][:12]} != "
+                f"frozen {FROZEN_DIGESTS[cell['n']][:12]}"
+            )
+            digest_checked.append(cell["n"])
 
-    # bit-identity on every overlapping cell: the substrate knob must
-    # not change a single output bit, even at scale
-    sparse_by_n = {cell["n"]: cell for cell in sparse_cells}
-    overlap_checked = []
-    for cell in dense_cells:
-        twin = sparse_by_n.get(cell["n"])
-        if twin is None:
-            continue
-        assert cell["digest"] == twin["digest"], (
-            f"substrate changed the run at n={cell['n']}: "
-            f"dense {cell['digest'][:12]} != sparse {twin['digest'][:12]}"
-        )
-        overlap_checked.append(cell["n"])
-
-    slope, intercept = _linear_fit(
-        [cell["n"] for cell in dense_cells],
-        [cell["incremental_rss_kb"] for cell in dense_cells],
-    )
-
-    def dense_fit(n: int) -> float:
-        return slope * n + intercept
-
-    headline: Optional[Dict[str, object]] = None
-    for cell in sparse_cells:
-        cell["dense_fit_rss_kb"] = dense_fit(cell["n"])
-        cell["rss_ratio_vs_dense_fit"] = cell["dense_fit_rss_kb"] / max(
-            cell["incremental_rss_kb"], 1
-        )
-        if cell["n"] == HEADLINE_N:
-            headline = cell
-
-    assert headline is not None, f"sweep must include n={HEADLINE_N}"
-
+    headline = next(cell for cell in cells if cell["n"] == HEADLINE_N)
     data = {
-        "schema": "repro-bench-scale/1",
+        "schema": "repro-bench-scale/2",
         "generated_unix": time.time(),
         "host": {
             "cpu_count": os.cpu_count(),
@@ -275,17 +233,12 @@ def main() -> Dict[str, object]:
             "headline_n": HEADLINE_N,
         },
         "null_baseline_kb": baseline_kb,
-        "dense": dense_cells,
-        "sparse": sparse_cells,
-        "dense_fit": {
-            "slope_kb_per_player": slope,
-            "intercept_kb": intercept,
-            "fit_ns": [cell["n"] for cell in dense_cells],
-        },
-        "bit_identical_overlap_ns": overlap_checked,
+        "cells": cells,
+        "dense_fit": dict(DENSE_FIT, frozen_from_ns=[10_000, 30_000, 100_000]),
+        "frozen_digest_ns": digest_checked,
         "headline": {
             "n": HEADLINE_N,
-            "sparse_rss_kb": headline["incremental_rss_kb"],
+            "rss_kb": headline["incremental_rss_kb"],
             "dense_fit_rss_kb": headline["dense_fit_rss_kb"],
             "ratio": headline["rss_ratio_vs_dense_fit"],
             "meets_floor": headline["rss_ratio_vs_dense_fit"]
@@ -296,18 +249,12 @@ def main() -> Dict[str, object]:
 
     print(f"wrote {OUTPUT_PATH}")
     print(
-        f"dense fit: {slope:.3f} KB/player "
-        f"(+{intercept:.0f} KB) over n={DENSE_NS}"
-    )
-    print(
-        f"headline n={HEADLINE_N:,}: sparse "
-        f"{data['headline']['sparse_rss_kb']:,} KB vs dense fit "
-        f"{data['headline']['dense_fit_rss_kb']:,.0f} KB "
-        f"({data['headline']['ratio']:.1f}x, "
-        f"floor {RSS_RATIO_FLOOR}x, "
+        f"headline n={HEADLINE_N:,}: {data['headline']['rss_kb']:,} KB vs "
+        f"dense fit {data['headline']['dense_fit_rss_kb']:,.0f} KB "
+        f"({data['headline']['ratio']:.1f}x, floor {RSS_RATIO_FLOOR}x, "
         f"meets_floor={data['headline']['meets_floor']})"
     )
-    print(f"bit-identical overlap cells: n={overlap_checked}")
+    print(f"frozen digests reproduced: n={digest_checked}")
     return data
 
 
@@ -316,8 +263,7 @@ def bench_scale(results_dir):
     data = main()
     assert os.path.exists(OUTPUT_PATH)
     assert data["headline"]["meets_floor"]
-    assert data["bit_identical_overlap_ns"]
-    for cell in data["sparse"]:
+    for cell in data["cells"]:
         assert cell["all_honest_satisfied"]
 
 

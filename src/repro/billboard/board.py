@@ -9,35 +9,48 @@ enforced here:
 2. the board is append-only — no message is ever erased, and any attempt to
    rewrite history raises :class:`~repro.errors.TamperError`.
 
-The board additionally maintains a **hash chain** over its posts (each
-post's digest covers the previous digest), the standard systems
-realization of those assumptions: :meth:`Billboard.verify_integrity`
-re-derives the chain and fails loudly if any stored post was mutated
-behind the API's back — e.g. by test code or a buggy strategy poking at
-internals. The model's adversary never gets this power; the chain is a
-guard-rail for the *implementation*.
+:class:`Billboard` is the one post log every engine and the service use.
+It stores the log as five growable columns — round, player and object
+(``int32``), reported value (``float64``) and kind (``int8``), about 17
+bytes a post — and builds :class:`Post` records only for the prefix a
+reader has asked for (most readers query the vote ledger instead).
+Four writers fill it: :meth:`~Billboard.append` and
+:meth:`~Billboard.append_many` validate entry by entry (the scalar
+engines and the service), :meth:`~Billboard.post_block` and
+:meth:`~Billboard.post_entries` validate whole columns at once (the
+batched engine, one board per lane).
 
-The chain is **lazily materialized**: each append snapshots the post's
-canonical field string (cheap) and defers all SHA-256 work until the
-first :attr:`Billboard.head_digest` or
-:meth:`Billboard.verify_integrity` access, at which point the pending
-snapshots are folded in append order. The materialized digest is
-bit-identical to eager per-append chaining, and because the fold runs
-over the *snapshots* — not the live ``Post`` objects — an out-of-API
-mutation between append and materialization is still detected.
+The board keeps two kinds of tamper evidence over its columns, and
+:meth:`Billboard.verify_integrity` re-derives both:
+
+* a **hash chain** over each post's canonical field string (each post's
+  digest covers the previous digest), computed lazily: reading
+  :attr:`Billboard.head_digest` folds the rows appended since the last
+  read, straight from the columns. The value is bit-identical to eager
+  per-append chaining;
+* a **write fingerprint**: every write stores the SHA-256 of the column
+  bytes it appended, with the row it ended at. Because it is taken at
+  write time, a row mutated behind the API's back is detected even when
+  the mutation happened before the chain ever folded that row.
+
+The model's adversary never gets the power to rewrite the board; the
+evidence is a guard-rail for the *implementation* (test code or a buggy
+strategy poking at internals).
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import takewhile
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.billboard.post import Post, PostKind
-from repro.billboard.votes import VoteLedger, VoteMode
+from repro.billboard.post import REPORT_CODE, VOTE_CODE, Post, PostKind
+from repro.billboard.votes import VoteLedger, VoteMode, _IntColumn
 from repro.errors import InvalidPostError, TamperError
+
+if TYPE_CHECKING:  # the sim package imports this module
+    from repro.sim.actions import ActionBlock
 
 #: digest of the empty board (the chain's genesis value)
 GENESIS_DIGEST = hashlib.sha256(b"repro-billboard-genesis").hexdigest()
@@ -46,26 +59,17 @@ GENESIS_DIGEST = hashlib.sha256(b"repro-billboard-genesis").hexdigest()
 Entry = Tuple[int, int, float, PostKind]
 
 
-def _post_fields(post: Post) -> str:
-    """Canonical field string of one post (the chained payload's suffix)."""
-    return (
-        f"{post.seq}|{post.round_no}|{post.player}|"
-        f"{post.object_id}|{post.reported_value!r}|{post.kind.value}"
-    )
-
-
 def _fold_digest(previous: str, fields: str) -> str:
     """Fold one canonical field string onto the previous digest."""
     return hashlib.sha256(f"{previous}|{fields}".encode()).hexdigest()
 
 
-def _chain_digest(previous: str, post: Post) -> str:
-    """Digest of one post, chained onto the previous digest."""
-    return _fold_digest(previous, _post_fields(post))
+def _kind_of(code: int) -> PostKind:
+    return PostKind.VOTE if code == VOTE_CODE else PostKind.REPORT
 
 
 class Billboard:
-    """Append-only post log plus its vote ledger.
+    """Append-only columnar post log plus its vote ledger.
 
     The board validates identities and timestamps; vote *semantics* (which
     votes count) live in the attached :class:`VoteLedger` because they are a
@@ -81,6 +85,22 @@ class Billboard:
         The ``f`` of Section 4.1 (MULTI mode only).
     """
 
+    __slots__ = (
+        "n_players",
+        "n_objects",
+        "ledger",
+        "_rounds",
+        "_players",
+        "_objects",
+        "_values",
+        "_kinds",
+        "_last_round",
+        "_digest",
+        "_digested",
+        "_writes",
+        "_posts",
+    )
+
     def __init__(
         self,
         n_players: int,
@@ -90,17 +110,29 @@ class Billboard:
     ) -> None:
         self.n_players = n_players
         self.n_objects = n_objects
-        self._posts: List[Post] = []
-        self._last_round = -1
-        #: digest of the materialized prefix of the chain
-        self._digest = GENESIS_DIGEST
-        #: canonical field snapshots of posts not yet folded into _digest
-        self._pending_fields: List[str] = []
         self.ledger = VoteLedger(
             n_players,
             n_objects,
             mode=vote_mode,
             max_votes_per_player=max_votes_per_player,
+        )
+        self._rounds = _IntColumn(dtype=np.int32)
+        self._players = _IntColumn(dtype=np.int32)
+        self._objects = _IntColumn(dtype=np.int32)
+        self._values = _IntColumn(dtype=np.float64)
+        self._kinds = _IntColumn(dtype=np.int8)
+        self._last_round = -1
+        #: digest of the chain over the first ``_digested`` rows
+        self._digest = GENESIS_DIGEST
+        self._digested = 0
+        #: one ``(end row, SHA-256 of the rows written)`` per write
+        self._writes: List[Tuple[int, bytes]] = []
+        #: :class:`Post` records of the prefix readers have asked for
+        self._posts: List[Post] = []
+
+    def _columns(self) -> Tuple[_IntColumn, ...]:
+        return (
+            self._rounds, self._players, self._objects, self._values, self._kinds
         )
 
     # ------------------------------------------------------------------
@@ -127,18 +159,20 @@ class Billboard:
         """
         self._validate_entry(round_no, player, object_id)
         post = Post(
-            seq=len(self._posts),
+            seq=len(self),
             round_no=round_no,
-            player=player,
-            object_id=object_id,
+            player=int(player),
+            object_id=int(object_id),
             reported_value=float(reported_value),
             kind=kind,
         )
-        self._posts.append(post)
-        self._last_round = round_no
-        self._pending_fields.append(_post_fields(post))
-        if post.is_vote:
-            self.ledger.record(post)
+        self._append(
+            round_no,
+            np.array([post.player], np.int64),
+            np.array([post.object_id], np.int64),
+            np.array([post.reported_value], np.float64),
+            np.array([VOTE_CODE if post.is_vote else REPORT_CODE], np.int8),
+        )
         return post
 
     def append_many(
@@ -166,7 +200,7 @@ class Billboard:
             return []
         for player, object_id, _value, _kind in entries:
             self._validate_entry(round_no, player, object_id)
-        base = len(self._posts)
+        base = len(self)
         posts = [
             Post(
                 seq=base + offset,
@@ -178,14 +212,76 @@ class Billboard:
             )
             for offset, (player, object_id, value, kind) in enumerate(entries)
         ]
-        self._posts.extend(posts)
-        self._last_round = round_no
-        self._pending_fields.extend(_post_fields(p) for p in posts)
-        record = self.ledger.record
-        for post in posts:
-            if post.is_vote:
-                record(post)
+        self._append(
+            round_no,
+            np.array([p.player for p in posts], np.int64),
+            np.array([p.object_id for p in posts], np.int64),
+            np.array([p.reported_value for p in posts], np.float64),
+            np.array(
+                [VOTE_CODE if p.is_vote else REPORT_CODE for p in posts], np.int8
+            ),
+        )
         return posts
+
+    def post_block(
+        self,
+        round_no: int,
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kind: PostKind,
+    ) -> None:
+        """Append a same-round, same-kind block of posts, in order.
+
+        The batched engine's writer: validates the whole block with
+        vectorized checks before appending anything, with
+        :meth:`append_many`'s all-or-nothing contract and error messages.
+        """
+        players = np.ascontiguousarray(players, dtype=np.int64)
+        objects = np.ascontiguousarray(objects, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if players.size == 0:
+            return
+        self._validate_block(round_no, players, objects)
+        code = VOTE_CODE if kind is PostKind.VOTE else REPORT_CODE
+        kinds = np.full(players.size, code, np.int8)
+        self._append(round_no, players, objects, values, kinds)
+
+    def post_entries(self, round_no: int, block: "ActionBlock") -> None:
+        """Append a mixed-kind block (an adversary turn), in order."""
+        if not len(block):
+            return
+        self._validate_block(round_no, block.players, block.objects)
+        self._append(
+            round_no, block.players, block.objects, block.values, block.kinds
+        )
+
+    def _append(
+        self,
+        round_no: int,
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kinds: np.ndarray,
+    ) -> None:
+        """Write validated rows, fingerprint them, and feed the ledger."""
+        start = len(self._rounds)
+        end = start + players.shape[0]
+        self._rounds.extend(np.full(players.shape[0], round_no, np.int32))
+        self._players.extend(players)
+        self._objects.extend(objects)
+        self._values.extend(values)
+        self._kinds.extend(kinds)
+        self._last_round = round_no
+        self._writes.append((end, self._fingerprint(start, end)))
+        votes = kinds == VOTE_CODE
+        n_votes = np.count_nonzero(votes)
+        # Non-vote posts never touch the ledger, so recording the vote
+        # subset in order is equivalent to per-post recording.
+        if n_votes == votes.shape[0]:
+            self.ledger.record_block(round_no, players, objects)
+        elif n_votes:
+            self.ledger.record_block(round_no, players[votes], objects[votes])
 
     def _validate_entry(self, round_no: int, player: int, object_id: int) -> None:
         if not 0 <= player < self.n_players:
@@ -196,6 +292,26 @@ class Billboard:
             raise InvalidPostError(
                 f"unknown object {object_id} (m={self.n_objects})"
             )
+        self._validate_round(round_no)
+
+    def _validate_block(
+        self, round_no: int, players: np.ndarray, objects: np.ndarray
+    ) -> None:
+        bad_p = (players < 0) | (players >= self.n_players)
+        if bad_p.any():
+            player = int(players[np.argmax(bad_p)])
+            raise InvalidPostError(
+                f"unknown player identity {player} (n={self.n_players})"
+            )
+        bad_o = (objects < 0) | (objects >= self.n_objects)
+        if bad_o.any():
+            object_id = int(objects[np.argmax(bad_o)])
+            raise InvalidPostError(
+                f"unknown object {object_id} (m={self.n_objects})"
+            )
+        self._validate_round(round_no)
+
+    def _validate_round(self, round_no: int) -> None:
         if round_no < 0:
             raise InvalidPostError(f"negative round {round_no}")
         if round_no < self._last_round:
@@ -211,45 +327,68 @@ class Billboard:
     def head_digest(self) -> str:
         """Digest of the whole log (changes with every append).
 
-        Materializes any deferred chain segments on access; the value is
-        bit-identical to eager per-append chaining.
+        Folds the rows appended since the last read on access; the value
+        is bit-identical to eager per-append chaining.
         """
-        self._materialize_digest()
+        size = len(self)
+        if self._digested < size:
+            self._digest = self._fold(self._digest, self._digested, size)
+            self._digested = size
         return self._digest
 
-    def _materialize_digest(self) -> None:
-        """Fold pending field snapshots into the running digest."""
-        if self._pending_fields:
-            digest = self._digest
-            for fields in self._pending_fields:
-                digest = _fold_digest(digest, fields)
-            self._digest = digest
-            self._pending_fields.clear()
+    def _fold(self, digest: str, start: int, end: int) -> str:
+        """Chain the canonical field strings of rows ``[start, end)``."""
+        rows = zip(
+            range(start, end),
+            *(column.view()[start:end].tolist() for column in self._columns()),
+        )
+        for seq, round_no, player, object_id, value, code in rows:
+            digest = _fold_digest(
+                digest,
+                f"{seq}|{round_no}|{player}|{object_id}|{value!r}|"
+                f"{_kind_of(code).value}",
+            )
+        return digest
+
+    def _fingerprint(self, start: int, end: int) -> bytes:
+        """SHA-256 over the column bytes of rows ``[start, end)``."""
+        digest = hashlib.sha256()
+        for column in self._columns():
+            digest.update(column._buf[start:end])
+        return digest.digest()
 
     def verify_integrity(self) -> None:
-        """Re-derive the hash chain; raise :class:`TamperError` on any
-        discrepancy between the stored posts and the running digest.
+        """Re-derive the write fingerprints and the hash chain; raise
+        :class:`TamperError` if the stored columns disagree with either.
 
-        The comparison digest is materialized from the field snapshots
-        taken at append time, so a post mutated after its append is
-        detected even if :attr:`head_digest` was never read before the
-        mutation.
+        The fingerprints were taken at write time, so a row mutated after
+        its write is detected even if :attr:`head_digest` was never read
+        before the mutation; reordered or truncated rows fail them too.
         """
-        digest = GENESIS_DIGEST
-        last_round = -1
-        for index, post in enumerate(self._posts):
-            if post.seq != index:
+        size = len(self)
+        if any(len(column) != size for column in self._columns()):
+            raise TamperError("billboard columns disagree on the post count")
+        start = 0
+        for end, fingerprint in self._writes:
+            if end > size or self._fingerprint(start, end) != fingerprint:
                 raise TamperError(
-                    f"post at position {index} carries seq {post.seq}"
+                    f"posts {start}..{end - 1} no longer match the "
+                    "fingerprint taken when they were written"
                 )
-            if post.round_no < last_round:
-                raise TamperError(
-                    f"post {index} is stamped round {post.round_no} after "
-                    f"round {last_round}"
-                )
-            last_round = post.round_no
-            digest = _chain_digest(digest, post)
-        if digest != self.head_digest:
+            start = end
+        if start != size:
+            raise TamperError(
+                f"board holds {size} posts but its writes appended {start}"
+            )
+        rounds = self._rounds.view()
+        regressed = np.flatnonzero(rounds[1:] < rounds[:-1])
+        if regressed.size:
+            index = int(regressed[0]) + 1
+            raise TamperError(
+                f"post {index} is stamped round {rounds[index]} after "
+                f"round {rounds[index - 1]}"
+            )
+        if self._fold(GENESIS_DIGEST, 0, size) != self.head_digest:
             raise TamperError(
                 "billboard hash chain mismatch: a stored post was mutated "
                 "outside the append API"
@@ -259,13 +398,39 @@ class Billboard:
     # Reading
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._posts)
+        return len(self._rounds)
 
     def __iter__(self) -> Iterator[Post]:
-        return iter(self._posts)
+        return iter(self.posts())
 
     def __getitem__(self, seq: int) -> Post:
-        return self._posts[seq]
+        size = len(self)
+        index = seq + size if seq < 0 else seq
+        if not 0 <= index < size:
+            raise IndexError(f"post {seq} out of range for {size} posts")
+        return self._materialize(np.array([index]))[0]
+
+    def _materialize(self, seqs: np.ndarray) -> List[Post]:
+        """The posts at ``seqs`` (ascending), each built once and kept."""
+        cache = self._posts
+        if seqs.size and seqs[-1] >= len(cache):
+            start, end = len(cache), int(seqs[-1]) + 1
+            rows = zip(
+                range(start, end),
+                *(column.view()[start:end].tolist() for column in self._columns()),
+            )
+            cache.extend(
+                Post(
+                    seq=seq,
+                    round_no=round_no,
+                    player=player,
+                    object_id=object_id,
+                    reported_value=value,
+                    kind=_kind_of(code),
+                )
+                for seq, round_no, player, object_id, value, code in rows
+            )
+        return [cache[seq] for seq in seqs.tolist()]
 
     @property
     def last_round(self) -> int:
@@ -278,27 +443,25 @@ class Billboard:
         player: Optional[int] = None,
         before_round: Optional[int] = None,
     ) -> List[Post]:
-        """The log in append order, optionally filtered in a single pass.
+        """The log in append order, optionally filtered, as :class:`Post`
+        records (each built on its first read and kept; posts are
+        immutable and the log is append-only).
 
         ``before_round`` keeps only posts stamped strictly earlier — the
         honest player's view at the start of that round. Rounds are
-        non-decreasing, so the scan stops at the horizon instead of
-        walking the whole log.
-
-        With no filter the internal list is returned directly (posts are
-        immutable and the log is append-only); treat it as read-only.
+        non-decreasing, so the horizon is one binary search.
         """
-        if kind is None and player is None and before_round is None:
-            return self._posts
-        source: Iterable[Post] = self._posts
+        rounds = self._rounds.view()
+        cutoff = rounds.size
         if before_round is not None:
-            source = takewhile(lambda p: p.round_no < before_round, source)
-        return [
-            p
-            for p in source
-            if (kind is None or p.kind is kind)
-            and (player is None or p.player == player)
-        ]
+            cutoff = int(np.searchsorted(rounds, before_round, side="left"))
+        keep = np.ones(cutoff, dtype=bool)
+        if kind is not None:
+            want = VOTE_CODE if kind is PostKind.VOTE else REPORT_CODE
+            keep &= self._kinds.view()[:cutoff] == want
+        if player is not None:
+            keep &= self._players.view()[:cutoff] == player
+        return self._materialize(np.flatnonzero(keep))
 
     def vote_posts(self, before_round: Optional[int] = None) -> List[Post]:
         """All vote posts (effective or not) in append order."""

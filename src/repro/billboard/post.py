@@ -33,7 +33,7 @@ class PostKind(enum.Enum):
     VOTE = "vote"
 
 
-#: int8 code of each kind in the columnar logs (lane boards, action blocks)
+#: int8 code of each kind in the columnar logs (the board, action blocks)
 REPORT_CODE = 0
 VOTE_CODE = 1
 

@@ -42,12 +42,12 @@ class _IntColumn:
 
     The ledger stores its effective-vote log as three of these (rounds,
     players, objects) so that every query is a vectorized slice instead of
-    a Python walk, and the columnar boards (lane and sparse) store their
-    post logs the same way. :meth:`view` returns a zero-copy window onto
-    the filled prefix; callers must not mutate it. The default ``int64``
-    matches the ledger's arithmetic; boards pass the dtype of each column
-    (``float64`` values, ``int8`` kinds, and on the sparse board
-    ``int32`` ids to keep million-post logs compact).
+    a Python walk, and :class:`~repro.billboard.board.Billboard` stores
+    its post log the same way. :meth:`view` returns a zero-copy window
+    onto the filled prefix; callers must not mutate it. The default
+    ``int64`` matches the ledger's arithmetic; the board passes the dtype
+    of each column (``int32`` rounds and ids to keep million-post logs
+    compact, ``float64`` values, ``int8`` kinds).
     """
 
     __slots__ = ("_buf", "_size")

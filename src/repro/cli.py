@@ -40,11 +40,9 @@ from repro.experiments.config import (
     resolve_batch_lanes,
     resolve_executor,
     resolve_n_jobs,
-    resolve_substrate,
     set_default_batch_lanes,
     set_default_executor,
     set_default_n_jobs,
-    set_default_substrate,
 )
 from repro.experiments.tables import Table
 from repro.sim.engine import EngineConfig
@@ -100,21 +98,6 @@ def _add_executor_flag(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_substrate_flag(command: argparse.ArgumentParser) -> None:
-    from repro.billboard.sparse import SUBSTRATE_CHOICES
-
-    command.add_argument(
-        "--substrate",
-        choices=list(SUBSTRATE_CHOICES),
-        default=None,
-        help=(
-            "post log of the scalar engine and the service (default: "
-            "REPRO_SUBSTRATE or auto: sparse at large n, dense "
-            "otherwise); batched runs ignore it. Never changes results."
-        ),
-    )
-
-
 def _add_obs_flag(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--obs-out",
@@ -148,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(exp)
     _add_lanes_flag(exp)
     _add_executor_flag(exp)
-    _add_substrate_flag(exp)
     _add_obs_flag(exp)
 
     run = sub.add_parser("run", help="one Monte-Carlo cell")
@@ -201,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(run)
     _add_lanes_flag(run)
     _add_executor_flag(run)
-    _add_substrate_flag(run)
     _add_obs_flag(run)
 
     bounds = sub.add_parser(
@@ -239,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(rep)
     _add_lanes_flag(rep)
     _add_executor_flag(rep)
-    _add_substrate_flag(rep)
     _add_obs_flag(rep)
 
     g = sub.add_parser("gauntlet", help="every adversary vs one strategy")
@@ -254,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(g)
     _add_lanes_flag(g)
     _add_executor_flag(g)
-    _add_substrate_flag(g)
     _add_obs_flag(g)
 
     serve = sub.add_parser(
@@ -284,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ephemeral port, printed on startup)"
         ),
     )
-    _add_substrate_flag(serve)
     serve.add_argument(
         "--max-inflight",
         dest="max_inflight",
@@ -358,8 +336,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         set_default_batch_lanes(args.batch_lanes)
     if args.executor is not None:
         set_default_executor(args.executor)
-    if args.substrate is not None:
-        set_default_substrate(args.substrate)
     result = run_experiment(args.experiment_id, args.scale, args.seed)
     rendered = result.render()
     print(rendered)
@@ -411,7 +387,6 @@ def _measure_cell(args: argparse.Namespace, adversary_name: str) -> TrialResults
         fault_plan=_fault_plan_from(args),
         timeout=getattr(args, "timeout", None),
         checkpoint_path=getattr(args, "checkpoint", None),
-        substrate=resolve_substrate(getattr(args, "substrate", None)),
     )
 
 
@@ -483,8 +458,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         set_default_batch_lanes(args.batch_lanes)
     if args.executor is not None:
         set_default_executor(args.executor)
-    if args.substrate is not None:
-        set_default_substrate(args.substrate)
     report = generate_report(
         experiment_ids=args.ids, scale=args.scale, seed=args.seed
     )
@@ -540,7 +513,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         n_objects=args.m,
         host=args.host,
         port=resolve_serve_port(args.port),
-        substrate=args.substrate,
         max_inflight=resolve_serve_max_inflight(args.max_inflight),
         rate=resolve_serve_rate(args.rate),
     )

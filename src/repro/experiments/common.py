@@ -11,7 +11,6 @@ from repro.experiments.config import (
     resolve_batch_lanes,
     resolve_executor,
     resolve_n_jobs,
-    resolve_substrate,
 )
 from repro.faults.plan import FaultPlan
 
@@ -45,16 +44,15 @@ def measure(
     fault_plan: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
     checkpoint_path: Optional[str] = None,
-    substrate: Optional[str] = None,
 ) -> TrialResults:
     """``run_trials`` with the experiment-wide defaults.
 
-    ``n_jobs=None``, ``batch_lanes=None``, ``executor=None``, and
-    ``substrate=None`` defer to the process-wide defaults (the CLI
-    ``--jobs``/``--batch-lanes``/``--executor``/``--substrate`` flags or
-    the ``REPRO_BENCH_JOBS``/``REPRO_BATCH_LANES``/``REPRO_EXECUTOR``/
-    ``REPRO_SUBSTRATE`` environment variables); results are identical
-    for every worker count, lane width, backend, and substrate.
+    ``n_jobs=None``, ``batch_lanes=None``, and ``executor=None`` defer
+    to the process-wide defaults (the CLI
+    ``--jobs``/``--batch-lanes``/``--executor`` flags or the
+    ``REPRO_BENCH_JOBS``/``REPRO_BATCH_LANES``/``REPRO_EXECUTOR``
+    environment variables); results are identical for every worker
+    count, lane width, and backend.
     ``fault_plan``, ``timeout``, and ``checkpoint_path`` pass straight
     through to :func:`~repro.sim.runner.run_trials`.
     """
@@ -73,5 +71,4 @@ def measure(
         fault_plan=fault_plan,
         timeout=timeout,
         checkpoint_path=checkpoint_path,
-        substrate=resolve_substrate(substrate),
     )

@@ -10,8 +10,8 @@ The Monte-Carlo worker count used by every experiment's
 ``REPRO_BENCH_JOBS`` environment variable, then serial. Parallelism never
 changes results (see :func:`repro.sim.runner.run_trials`), so the knob is
 process-wide state rather than a per-experiment parameter. The
-``batch_lanes``, ``executor``, and ``substrate`` knobs follow the same
-pattern (``REPRO_BATCH_LANES``, ``REPRO_EXECUTOR``, ``REPRO_SUBSTRATE``).
+``batch_lanes`` and ``executor`` knobs follow the same pattern
+(``REPRO_BATCH_LANES``, ``REPRO_EXECUTOR``).
 """
 
 from __future__ import annotations
@@ -44,16 +44,11 @@ LANES_ENV_VAR = "REPRO_BATCH_LANES"
 #: environment variable supplying the default executor backend name
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
-#: environment variable supplying the default billboard substrate name
-SUBSTRATE_ENV_VAR = "REPRO_SUBSTRATE"
-
 _default_n_jobs: Optional[int] = None
 
 _default_batch_lanes: Optional[int] = None
 
 _default_executor: Union[str, "Executor", None] = None
-
-_default_substrate: Optional[str] = None
 
 
 def default_n_jobs() -> int:
@@ -163,45 +158,6 @@ def resolve_executor(
 ) -> Union[str, "Executor", None]:
     """An explicit ``executor`` wins; ``None`` falls back to the default."""
     return default_executor() if executor is None else executor
-
-
-def default_substrate() -> Optional[str]:
-    """The process-wide default billboard substrate for trial sweeps.
-
-    Resolution order: :func:`set_default_substrate` override, then the
-    ``REPRO_SUBSTRATE`` environment variable (``auto``, ``dense``, or
-    ``sparse``), then ``None`` — the runner's own default (``auto``:
-    sparse at or above
-    :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players).
-    Like ``n_jobs``, the substrate never changes results (the sparse
-    equivalence suite pins this), so it is process-wide state rather
-    than a per-experiment parameter.
-    """
-    if _default_substrate is not None:
-        return _default_substrate
-    raw = os.environ.get(SUBSTRATE_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    from repro.billboard.sparse import SUBSTRATE_CHOICES
-
-    if raw not in SUBSTRATE_CHOICES:
-        raise ConfigurationError(
-            f"{SUBSTRATE_ENV_VAR} must be one of "
-            f"{', '.join(SUBSTRATE_CHOICES)}; got {raw!r}"
-        )
-    return raw
-
-
-def set_default_substrate(substrate: Optional[str]) -> None:
-    """Override the process-wide substrate default (``None`` restores
-    env/runner choice)."""
-    global _default_substrate
-    _default_substrate = substrate
-
-
-def resolve_substrate(substrate: Optional[str]) -> Optional[str]:
-    """An explicit ``substrate`` wins; ``None`` falls back to the default."""
-    return default_substrate() if substrate is None else substrate
 
 
 class Scale(enum.Enum):

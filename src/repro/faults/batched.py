@@ -18,7 +18,7 @@ application*: crashes and restarts land on the engine's ``(K, n)``
 fancy-indexed scatters across all lanes, and post filtering stays
 array-native end to end
 (:meth:`~repro.faults.injector.FaultInjector.filter_post_arrays` into
-:meth:`~repro.billboard.lanes.LaneBoard.post_block`).
+:meth:`~repro.billboard.board.Billboard.post_block`).
 
 Because each lane carries its own injector, lanes of one batch may run
 *different* fault plans — the substrate for grid lanes, where one round
@@ -38,7 +38,7 @@ from repro.sim.actions import ActionBlock
 from repro.world.valuemodel import ValueModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
-    from repro.billboard.lanes import LaneBillboard
+    from repro.billboard.board import Billboard
     from repro.strategies.batched import BatchedStrategy
 
 
@@ -126,7 +126,7 @@ class BatchedFaultInjector:
         alive: np.ndarray,
         active: np.ndarray,
         down_until: np.ndarray,
-        boards: "LaneBillboard",
+        boards: "List[Billboard]",
         strategy: "BatchedStrategy",
     ) -> None:
         """Round-start fault effects for every still-alive lane.
@@ -144,7 +144,7 @@ class BatchedFaultInjector:
                 continue
             due = injector.due_posts(round_no)
             if due:
-                boards.lane(int(k)).post_entries(
+                boards[int(k)].post_entries(
                     round_no, ActionBlock.from_entries(due)
                 )
         due_mask = down_until == round_no

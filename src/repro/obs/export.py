@@ -218,19 +218,18 @@ def render_summary(observations: Observations) -> str:
 
 # ----------------------------------------------------------------------
 #: manifest fields that describe *how* a run executed rather than *what*
-#: it computed — the same seed on a different backend (or billboard
-#: substrate, or behind a serving front-end with different admission
-#: caps) produces identical results, so these never contribute to a
-#: diff verdict
-REPORTING_MANIFEST_FIELDS = ("executor", "substrate", "serving")
+#: it computed — the same seed on a different backend (or behind a
+#: serving front-end with different admission caps) produces identical
+#: results, so these never contribute to a diff verdict
+REPORTING_MANIFEST_FIELDS = ("executor", "serving")
 
 #: counter namespaces that describe the execution fabric rather than the
 #: computation — how many workers ran, died, or were retried is
 #: environmental (a chaos-killed socket run of a seed must diff clean
-#: against its serial twin, a sparse-substrate run against its dense
-#: twin, and a served board against any admission configuration that
-#: admitted the same posts), so these never flip a diff verdict
-REPORTING_COUNTER_PREFIXES = ("exec.", "substrate.", "serve.")
+#: against its serial twin, and a served board against any admission
+#: configuration that admitted the same posts), so these never flip a
+#: diff verdict
+REPORTING_COUNTER_PREFIXES = ("exec.", "serve.")
 
 
 def diff_observations(a: Observations, b: Observations) -> List[str]:

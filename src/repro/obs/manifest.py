@@ -34,8 +34,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: bump when a field is added/renamed/removed; readers check it
 #: (2: added ``batch_fallback_reason``; 3: added ``executor``;
-#: 4: added ``substrate``; 5: added ``serving``)
-SCHEMA_VERSION = 5
+#: 4: added ``substrate``; 5: added ``serving``; 6: removed ``substrate``)
+SCHEMA_VERSION = 6
 
 
 def _canonical_json(payload: Any) -> str:
@@ -155,19 +155,11 @@ class RunManifest:
         identity**: two runs of the same seed on different backends
         produce identical results, so ``repro obs diff`` reports this
         field informationally and excludes it from its verdict.
-    substrate:
-        The billboard storage substrate the sweep requested (``"auto"``,
-        ``"dense"``, or ``"sparse"`` — see
-        :mod:`repro.billboard.sparse`), or ``None`` when the caller left
-        the knob at its default. Like ``executor``, this is
-        **reporting, not identity**: the substrate is bit-inert, so
-        ``repro obs diff`` shows it informationally and excludes it
-        from its verdict.
     serving:
         The serving-layer configuration when the artifact came from a
         :class:`~repro.serve.service.BillboardService` (the
         :meth:`~repro.serve.config.ServeConfig.manifest_payload` dict:
-        world dimensions, substrate knob, admission caps), or ``None``
+        world dimensions and admission caps), or ``None``
         for batch artifacts. Admission caps shape *which* requests were
         admitted, never what an admitted request computes, so like
         ``executor`` this is **reporting, not identity** — ``repro obs
@@ -189,7 +181,6 @@ class RunManifest:
     fault_plan_digest: Optional[str] = None
     batch_fallback_reason: Optional[str] = None
     executor: Optional[Dict[str, Any]] = None
-    substrate: Optional[str] = None
     serving: Optional[Dict[str, Any]] = None
     versions: Dict[str, str] = field(default_factory=dict)
     host: Dict[str, Any] = field(default_factory=dict)
@@ -204,9 +195,17 @@ class RunManifest:
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunManifest":
         """Rebuild a manifest, rejecting unknown or missing-type payloads
         with a clear error instead of a ``TypeError`` deep in dataclass
-        machinery."""
+        machinery.
+
+        A schema 4-5 payload's ``substrate`` key (removed in schema 6)
+        is dropped, so earlier ``--obs-out`` files stay readable.
+        """
         from repro.errors import ConfigurationError
 
+        payload = dict(payload)
+        version = payload.get("schema_version")
+        if isinstance(version, int) and version < 6:
+            payload.pop("substrate", None)
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -214,7 +213,7 @@ class RunManifest:
                 f"manifest payload has unknown keys {sorted(unknown)}; "
                 f"known keys: {sorted(known)}"
             )
-        return cls(**dict(payload))
+        return cls(**payload)
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, compact separators).
@@ -242,7 +241,6 @@ def collect_manifest(
     config_payload: Optional[Any] = None,
     batch_fallback_reason: Optional[str] = None,
     executor: Optional[Dict[str, Any]] = None,
-    substrate: Optional[str] = None,
     serving: Optional[Dict[str, Any]] = None,
 ) -> RunManifest:
     """Build a :class:`RunManifest` for the current process.
@@ -256,9 +254,8 @@ def collect_manifest(
     ``batch_lanes`` request (``None``: no degradation happened).
     ``executor`` is the execution fabric's report dict
     (:meth:`repro.exec.base.ExecutorReport.to_dict`; ``None``: no
-    trials were dispatched). ``substrate`` is the billboard storage
-    knob the caller requested (``None``: knob left at its default).
-    ``serving`` is the serving-layer configuration record
+    trials were dispatched). ``serving`` is the serving-layer
+    configuration record
     (:meth:`~repro.serve.config.ServeConfig.manifest_payload`;
     ``None``: the artifact did not come from a service).
     """
@@ -280,7 +277,6 @@ def collect_manifest(
         fault_plan_digest=fault_plan_digest(fault_plan),
         batch_fallback_reason=batch_fallback_reason,
         executor=executor,
-        substrate=substrate,
         serving=serving,
         versions=dict(versions),
         host=dict(host),

@@ -75,9 +75,6 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "serve.snapshots",
         "serve.ticks",
         "serve.votes",
-        "substrate.dense",
-        "substrate.fallback",
-        "substrate.sparse",
         "trial.batched",
         "trial.completed",
     }
@@ -93,14 +90,11 @@ DECLARED_TIMERS: FrozenSet[str] = frozenset(
 )
 
 #: prefixes whose member names are computed at runtime (the engines fold
-#: ``f"faults.{key}"`` realization summaries and ``f"substrate.{name}"``
-#: resolutions). A dynamic call site is legal iff its static prefix is
-#: listed here; the members it can realize still have to be declared
-#: above (``tests/obs/test_names.py`` pins the fault-injector keys).
-DYNAMIC_COUNTER_PREFIXES: Tuple[str, ...] = (
-    "faults.",
-    "substrate.",
-)
+#: ``f"faults.{key}"`` realization summaries). A dynamic call site is
+#: legal iff its static prefix is listed here; the members it can
+#: realize still have to be declared above (``tests/obs/test_names.py``
+#: pins the fault-injector keys).
+DYNAMIC_COUNTER_PREFIXES: Tuple[str, ...] = ("faults.",)
 
 
 def declared_phases() -> FrozenSet[str]:

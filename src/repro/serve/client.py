@@ -107,7 +107,7 @@ class ServeClient:
         return dict(self.request("query", {"op": "counts"}))
 
     def board(self) -> Dict[str, Any]:
-        """Board shape facts: post count, visible votes, substrate."""
+        """Board shape facts: post count, visible votes, buffered posts."""
         return dict(self.request("query", {"op": "board"}))
 
     def metrics(self) -> Dict[str, Any]:

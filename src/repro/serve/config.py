@@ -159,9 +159,6 @@ class ServeConfig:
     host, port:
         Listening address. Port ``0`` binds an ephemeral port; the bound
         address is printed on startup and exposed on the service.
-    substrate:
-        The billboard storage knob (``auto``/``dense``/``sparse``, or
-        ``None`` for auto — see :mod:`repro.billboard.sparse`).
     max_inflight:
         Global cap on requests admitted concurrently; excess requests
         are shed with a typed error instead of queued.
@@ -185,7 +182,6 @@ class ServeConfig:
     n_objects: int
     host: str = "127.0.0.1"
     port: int = FALLBACK_PORT
-    substrate: Optional[str] = None
     max_inflight: int = FALLBACK_MAX_INFLIGHT
     rate: float = FALLBACK_RATE
     burst: int = 64
@@ -221,7 +217,6 @@ class ServeConfig:
         return {
             "n_players": self.n_players,
             "n_objects": self.n_objects,
-            "substrate": self.substrate,
             "max_inflight": self.max_inflight,
             "rate": self.rate,
             "burst": self.burst,

@@ -27,19 +27,16 @@ by score descending with object id as the deterministic tie-break.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.billboard.board import Billboard
-from repro.billboard.sparse import SparseBoard
 from repro.billboard.views import SnapshotView
 from repro.core.parameters import DistillParameters
 from repro.core.tracker import DistillPhaseTracker
 from repro.errors import ConfigurationError
 from repro.strategies.base import StrategyContext
-
-AnyBoard = Union[Billboard, SparseBoard]
 
 
 class OnlineDistillRecommender:
@@ -48,7 +45,7 @@ class OnlineDistillRecommender:
     Parameters
     ----------
     board:
-        The live billboard (dense or sparse — the scorer only reads).
+        The live billboard (the scorer only reads).
     ctx:
         Public protocol knowledge (``n``, ``m``, assumed ``α``/``β``),
         exactly what an honest player of the paper would hold.
@@ -58,7 +55,7 @@ class OnlineDistillRecommender:
 
     def __init__(
         self,
-        board: AnyBoard,
+        board: Billboard,
         ctx: StrategyContext,
         params: Optional[DistillParameters] = None,
     ) -> None:
@@ -176,7 +173,7 @@ class OnlineDistillRecommender:
 
 
 def batch_recommender(
-    board: AnyBoard,
+    board: Billboard,
     ctx: StrategyContext,
     epoch: int,
     params: Optional[DistillParameters] = None,

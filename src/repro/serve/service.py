@@ -2,10 +2,8 @@
 
 The simulator turned inside-out: instead of an engine driving rounds
 over a private board, a long-lived service accepts concurrent
-post/vote/query traffic over TCP against one live billboard
-(:class:`~repro.billboard.board.Billboard` or
-:class:`~repro.billboard.sparse.SparseBoard`, per the substrate knob)
-and serves reads from epoch-pinned
+post/vote/query traffic over TCP against one live
+:class:`~repro.billboard.board.Billboard` and serves reads from epoch-pinned
 :class:`~repro.billboard.views.SnapshotView`\\ s.
 
 Wire format
@@ -61,7 +59,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.billboard.board import Billboard, Entry
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard, choose_substrate
 from repro.billboard.views import SnapshotView
 from repro.errors import ConfigurationError
 from repro.exec.protocol import (
@@ -94,9 +91,7 @@ class BillboardService:
         self, config: ServeConfig, obs: Optional[Registry] = None
     ) -> None:
         self.config = config
-        self.substrate = choose_substrate(config.substrate, config.n_players)
-        board_cls = SparseBoard if self.substrate == "sparse" else Billboard
-        self.board = board_cls(config.n_players, config.n_objects)
+        self.board = Billboard(config.n_players, config.n_objects)
         #: the current epoch; posts are stamped with it, readers see < it
         self.epoch = 0
         self._pending: List[Entry] = []
@@ -215,7 +210,6 @@ class BillboardService:
                 "posts": len(self.board),
                 "visible_votes": int(view.objects_with_votes().size),
                 "buffered": len(self._pending),
-                "substrate": self.substrate,
             }
         raise ConfigurationError(f"unknown query op {op!r}")
 
@@ -226,7 +220,6 @@ class BillboardService:
             "manifest": self.manifest.to_dict(),
             "recommender": self.recommender.diagnostics(),
             "epoch": self.epoch,
-            "substrate": self.substrate,
             "inflight_peak": self._gauge.peak,
             "posts": len(self.board),
         }

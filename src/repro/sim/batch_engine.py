@@ -12,9 +12,9 @@ it once per *batch*, advancing ``K`` trials — *lanes* — in lockstep:
   per-trial rng stream, in the *exact* order the scalar engine would —
   so each lane's randomness is bit-identical to a scalar run of that
   trial;
-* each lane has its own columnar billboard
-  (:class:`~repro.billboard.lanes.LaneBoard`) sharing the scalar
-  ledger's effectiveness rules as code;
+* each lane has its own :class:`~repro.billboard.board.Billboard`, the
+  same columnar, hash-chained post log and vote ledger the scalar
+  engine uses, written through its vectorized block writers;
 * finished lanes are masked out, not removed — remaining lanes keep
   their indices, and the loop ends when every lane is done.
 
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.billboard.lanes import LaneBillboard
+from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
 from repro.billboard.views import BillboardView
 from repro.errors import (
@@ -178,13 +178,15 @@ class BatchedEngine:
                 ctxs if ctxs is not None else [None] * self.n_lanes,
             )
         ]
-        self.boards = LaneBillboard(
-            self.n_lanes,
-            shape[0],
-            shape[1],
-            vote_mode=self.config.vote_mode,
-            max_votes_per_player=self.config.max_votes_per_player,
-        )
+        self.boards = [
+            Billboard(
+                shape[0],
+                shape[1],
+                vote_mode=self.config.vote_mode,
+                max_votes_per_player=self.config.max_votes_per_player,
+            )
+            for _ in self.instances
+        ]
         if faults is not None and faults.n_lanes != self.n_lanes:
             raise ConfigurationError(
                 f"fault injector carries {faults.n_lanes} lanes for a "
@@ -312,7 +314,7 @@ class BatchedEngine:
                 probe_lanes = lanes
                 actives = [lane_active_ids[k] for k in probe_lanes]
             views = [
-                BillboardView(self.boards.lane(k), before_round=round_no)
+                BillboardView(self.boards[k], before_round=round_no)
                 for k in probe_lanes
             ]
             raw_choices = self.strategy.choose_probes_batch(
@@ -384,7 +386,7 @@ class BatchedEngine:
                 ):
                     vote_mask = np.asarray(vote_mask, dtype=bool)
                     halt_mask = np.asarray(halt_mask, dtype=bool)
-                    board = self.boards.lane(k)
+                    board = self.boards[k]
                     if vote_mask.any():
                         v_players = probers[vote_mask]
                         v_objects = targets[vote_mask]
@@ -475,7 +477,7 @@ class BatchedEngine:
         The whole block is checked before anything is posted, so a
         violating adversary leaves the lane board untouched.
         """
-        board = self.boards.lane(lane)
+        board = self.boards[lane]
         full_view = BillboardView(board, before_round=None)
         block = self.adversary.act(lane, round_no, full_view)
         if not len(block):

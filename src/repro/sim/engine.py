@@ -34,11 +34,6 @@ import numpy as np
 
 from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import (
-    SparseBoard,
-    choose_substrate,
-    substrate_fallback_reason,
-)
 from repro.billboard.views import BillboardView
 from repro.billboard.votes import VoteMode
 from repro.errors import (
@@ -124,15 +119,6 @@ class SynchronousEngine:
         reprolint's wall-clock ban intact for ``sim``. ``None`` (default)
         costs one predicate check per instrumentation site and results
         are bit-identical either way.
-    substrate:
-        Billboard storage selection: ``"dense"`` (the chained
-        :class:`Billboard`), ``"sparse"`` (the columnar
-        :class:`~repro.billboard.sparse.SparseBoard`), or
-        ``"auto"``/``None`` (sparse at or above
-        :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players).
-        Bit-inert: results are identical either way. Trace runs audit
-        the hash-chained dense board, so a sparse request degrades to
-        dense there (recorded in ``substrate.fallback``).
     """
 
     def __init__(
@@ -147,7 +133,6 @@ class SynchronousEngine:
         ctx: Optional[StrategyContext] = None,
         fault_injector: Optional["FaultInjector"] = None,
         obs: Optional["Registry"] = None,
-        substrate: Optional[str] = None,
     ) -> None:
         self.instance = instance
         self.strategy = strategy
@@ -171,28 +156,12 @@ class SynchronousEngine:
             beta=instance.beta,
             good_threshold=instance.space.good_threshold,
         )
-        resolved = choose_substrate(substrate, instance.n)
-        self.substrate_fallback: Optional[str] = None
-        if resolved == "sparse":
-            reason = substrate_fallback_reason(self.config)
-            if reason is not None:
-                self.substrate_fallback = reason
-                resolved = "dense"
-        self.substrate = resolved
-        if resolved == "sparse":
-            self.board: "Billboard | SparseBoard" = SparseBoard(
-                instance.n,
-                instance.m,
-                vote_mode=self.config.vote_mode,
-                max_votes_per_player=self.config.max_votes_per_player,
-            )
-        else:
-            self.board = Billboard(
-                instance.n,
-                instance.m,
-                vote_mode=self.config.vote_mode,
-                max_votes_per_player=self.config.max_votes_per_player,
-            )
+        self.board = Billboard(
+            instance.n,
+            instance.m,
+            vote_mode=self.config.vote_mode,
+            max_votes_per_player=self.config.max_votes_per_player,
+        )
         self.fault_injector = fault_injector
         self.obs = obs
         #: populated when ``config.trace`` is on
@@ -242,9 +211,6 @@ class SynchronousEngine:
         # increment per event when observing, one predicate check when not.
         obs = self.obs
         if obs is not None:
-            obs.counter(f"substrate.{self.substrate}").add(1)
-            if self.substrate_fallback is not None:
-                obs.counter("substrate.fallback").add(1)
             count_round = obs.counter("engine.rounds").add
             count_probes = obs.counter("engine.probes").add
             count_votes = obs.counter("engine.votes").add

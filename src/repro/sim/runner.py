@@ -75,7 +75,6 @@ from typing import (
 
 import numpy as np
 
-from repro.billboard.sparse import normalize_substrate
 from repro.errors import CheckpointError, ConfigurationError, TrialTimeoutError
 from repro.exec import (
     Executor,
@@ -195,7 +194,6 @@ def _execute_trial(
     keep_metrics: bool,
     fault_plan: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
-    substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> _TrialRecord:
     """Run one trial from its dedicated rng factory.
@@ -232,7 +230,6 @@ def _execute_trial(
             ctx=ctx,
             fault_injector=injector,
             obs=obs,
-            substrate=substrate,
         )
         result = engine.run()
         if obs is not None:
@@ -629,7 +626,6 @@ def run_trial_grid(
     batch_lanes: Optional[int] = None,
     keep_metrics: bool = False,
     timeout: Optional[float] = None,
-    substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> List[TrialResults]:
     """Run a grid of experiment cells with cross-cell lane packing.
@@ -641,9 +637,7 @@ def run_trial_grid(
     one :class:`~repro.sim.batch_engine.BatchedEngine`. Lanes carry
     their cell's own alpha/beta (via the instance), strategy, adversary,
     and fault plan; all cells must share ``(n, m)`` (the engine enforces
-    this) and the grid shares one ``config``. The ``substrate`` knob is
-    validated and recorded in each cell's manifest; it only reaches the
-    scalar fallback (bit-inert — see :func:`run_trials`).
+    this) and the grid shares one ``config``.
 
     Returns one :class:`TrialResults` per cell, in cell order, each
     bit-identical — ``per_trial`` arrays, kept metrics, ``fault_info``,
@@ -673,11 +667,6 @@ def run_trial_grid(
         raise ConfigurationError(
             f"batch_lanes must be a positive integer, got {batch_lanes!r}"
         )
-    # Validate once up front (and normalize for the manifests below) so a
-    # bad knob fails before any trial runs, on every path.
-    substrate_label = (
-        None if substrate is None else normalize_substrate(substrate)
-    )
     if lanes <= 1 or batch_fallback_reason(config, None) is not None:
         # Per-cell delegation: run_trials owns the fallback warning, the
         # batch.fallback counter, and the manifest reason in this path.
@@ -694,7 +683,6 @@ def run_trial_grid(
                 batch_lanes=batch_lanes,
                 fault_plan=cell.fault_plan,
                 timeout=timeout,
-                substrate=substrate,
                 obs=obs,
             )
             for cell in cells
@@ -754,7 +742,6 @@ def run_trial_grid(
                     n_trials=cell.n_trials,
                     config=config,
                     fault_plan=cell.fault_plan,
-                    substrate=substrate_label,
                 ),
             )
         )
@@ -896,7 +883,6 @@ def run_trials(
     checkpoint_path: Optional[str] = None,
     executor: Union[str, Executor, None] = None,
     executor_fallback: bool = True,
-    substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> TrialResults:
     """Run ``n_trials`` independent simulations and aggregate summaries.
@@ -972,18 +958,6 @@ def run_trials(
         :class:`~repro.errors.ExecutorError` propagate (completed
         trials are already checkpointed when ``checkpoint_path`` is
         set, so an aborted sweep resumes cleanly).
-    substrate:
-        Post log of the scalar engine's board: ``"dense"`` (the chained
-        :class:`~repro.billboard.board.Billboard`), ``"sparse"`` (the
-        columnar :class:`~repro.billboard.sparse.SparseBoard`, ~17 bytes
-        a post), or ``"auto"`` (``None`` too) to pick sparse at or above
-        :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players.
-        Both carry the same vote ledger, and batched runs
-        (``batch_lanes > 1``) use their columnar lane boards whatever
-        the knob says. The substrate is bit-inert: results are identical
-        for every choice (enforced by the sparse equivalence suite); the
-        requested knob is validated up front and recorded in the
-        manifest's ``substrate`` field.
     checkpoint_path:
         Incremental JSONL checkpoint of completed trials. If the file
         already exists (same seed and trial count — anything else raises
@@ -1012,11 +986,6 @@ def run_trials(
         raise ConfigurationError(
             f"max_retries must be >= 0, got {max_retries}"
         )
-    # Validate the substrate knob before any work is dispatched; the
-    # normalized label (None stays None) is what the manifest records.
-    substrate_label = (
-        None if substrate is None else normalize_substrate(substrate)
-    )
     jobs = resolve_n_jobs(n_jobs)
 
     global _BATCH_FALLBACK_WARNED
@@ -1083,10 +1052,6 @@ def run_trials(
     )
     if lanes > 1:
         state["batch_lanes"] = lanes
-    else:
-        # lane boards are columnar already: the substrate knob selects
-        # the scalar engine's post log only
-        state["substrate"] = substrate
     on_chunk_done = checkpoint.append if checkpoint is not None else None
 
     retry = RetryPolicy(max_retries=max_retries, backoff_base=backoff_base)
@@ -1138,7 +1103,6 @@ def run_trials(
         fault_plan=fault_plan,
         batch_fallback_reason=fallback_reason,
         executor=executor_report,
-        substrate=substrate_label,
     )
     if registry is not None:
         registry.manifest = manifest

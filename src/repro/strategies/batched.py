@@ -94,7 +94,7 @@ class PerLaneStrategy(BatchedStrategy):
     context and rng stream, so the draw sequences are trivially identical
     to the scalar engine's. There is no cross-lane vectorization — the
     win is limited to the engine's shared round loop and the columnar
-    billboard substrate.
+    billboard.
     """
 
     def __init__(self, strategies: Sequence[Strategy]) -> None:

@@ -18,7 +18,7 @@ and a batched run multiplies that by K lanes. Two levers keep them cheap:
   boundaries exactly like before.
 
 Both levers are representation-only: values, dtypes, and shapes are
-identical either way, so the substrate choice is bit-inert by
+identical either way, so the backing choice is bit-inert by
 construction.
 """
 

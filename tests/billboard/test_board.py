@@ -1,5 +1,7 @@
 """Tests for the append-only billboard."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
 from repro.errors import InvalidPostError, TamperError
+from repro.sim.actions import ActionBlock
 
 #: the head digest of a fixed three-post history, recorded from the eager
 #: per-append chain before lazy materialization landed — must never change
@@ -23,6 +26,38 @@ def _golden_entries():
         (1, 2, 3, 0.25, PostKind.REPORT),
         (3, 0, 1, -2.5, PostKind.VOTE),
     ]
+
+
+def _two_post_boards():
+    """Two identical two-post boards: one written entry by entry (the
+    scalar engines' path), one through the block writer (a batched
+    engine lane)."""
+    scalar = Billboard(8, 16)
+    lane = Billboard(8, 16)
+    for round_no, player, obj in [(0, 1, 2), (1, 2, 3)]:
+        scalar.append(round_no, player, obj, 1.0, PostKind.VOTE)
+        lane.post_block(
+            round_no, np.array([player]), np.array([obj]), np.array([1.0]),
+            PostKind.VOTE,
+        )
+    return [scalar, lane]
+
+
+def _rewrite_rows(board, edit):
+    """Apply ``edit`` to every column's rows behind the API's back."""
+    for column in board._columns():
+        rows = column._buf[: len(column)]
+        rows[:] = edit(rows.copy())
+
+
+def _drop_first_row(board):
+    _rewrite_rows(board, lambda rows: np.roll(rows, -1))
+    _truncate_last_row(board)
+
+
+def _truncate_last_row(board):
+    for column in board._columns():
+        column._size -= 1
 
 
 class TestAppend:
@@ -147,37 +182,27 @@ class TestIntegrityChain:
             board.append(r, r % 8, r % 16, float(r % 2), PostKind.VOTE)
         board.verify_integrity()
 
-    def test_mutated_post_detected(self, board):
-        from repro.billboard.post import Post
+    def test_mutated_post_detected(self):
+        """A post rewritten after the chain folded it fails the check."""
+        for board in _two_post_boards():
+            board.head_digest  # fold both rows into the chain
+            board._objects._buf[0] = 9  # out-of-API mutation of history
+            with pytest.raises(TamperError):
+                board.verify_integrity()
 
-        board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        board.append(1, 2, 3, 1.0, PostKind.VOTE)
-        # simulate an out-of-API mutation of history
-        original = board._posts[0]
-        board._posts[0] = Post(
-            seq=original.seq,
-            round_no=original.round_no,
-            player=original.player,
-            object_id=9,  # changed
-            reported_value=original.reported_value,
-            kind=original.kind,
-        )
-        with pytest.raises(TamperError):
-            board.verify_integrity()
+    def test_reordered_posts_detected(self):
+        for board in _two_post_boards():
+            _rewrite_rows(board, lambda rows: rows[::-1])
+            with pytest.raises(TamperError):
+                board.verify_integrity()
 
-    def test_reordered_posts_detected(self, board):
-        board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        board.append(1, 2, 3, 1.0, PostKind.VOTE)
-        board._posts.reverse()
-        with pytest.raises(TamperError):
-            board.verify_integrity()
-
-    def test_deleted_post_detected(self, board):
-        board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        board.append(1, 2, 3, 1.0, PostKind.VOTE)
-        del board._posts[0]
-        with pytest.raises(TamperError):
-            board.verify_integrity()
+    def test_deleted_post_detected(self):
+        """Dropping the first row or truncating the last both fail."""
+        for drop in (_drop_first_row, _truncate_last_row):
+            for board in _two_post_boards():
+                drop(board)
+                with pytest.raises(TamperError):
+                    board.verify_integrity()
 
     def test_digest_matches_pre_lazy_golden(self):
         b = Billboard(4, 4)
@@ -185,23 +210,13 @@ class TestIntegrityChain:
             b.append(round_no, player, obj, value, kind)
         assert b.head_digest == GOLDEN_DIGEST
 
-    def test_mutation_before_materialization_detected(self, board):
-        """The lazy chain snapshots fields at append time, so tampering
+    def test_mutation_before_materialization_detected(self):
+        """The write fingerprint is taken at write time, so tampering
         with a stored post before the digest is ever read still fails."""
-        from repro.billboard.post import Post
-
-        board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        original = board._posts[0]
-        board._posts[0] = Post(
-            seq=original.seq,
-            round_no=original.round_no,
-            player=original.player,
-            object_id=9,  # changed without reading head_digest first
-            reported_value=original.reported_value,
-            kind=original.kind,
-        )
-        with pytest.raises(TamperError):
-            board.verify_integrity()
+        for board in _two_post_boards():
+            board._objects._buf[0] = 9  # changed without reading head_digest
+            with pytest.raises(TamperError):
+                board.verify_integrity()
 
     def test_digest_independent_of_read_schedule(self):
         """Polling head_digest mid-history must not change the final value."""
@@ -234,6 +249,50 @@ class TestIntegrityChain:
         )
         engine.run()
         engine.board.verify_integrity()
+
+    def test_batched_run_lane_boards_verify(self):
+        """Every lane board of a batched run passes the integrity check,
+        and each lane's digest is the one ``append_many`` gives the same
+        posts."""
+        from repro.adversaries.batched import batched_adversary_for
+        from repro.adversaries.split_vote import SplitVoteAdversary
+        from repro.core.distill import DistillStrategy
+        from repro.sim.batch_engine import BatchedEngine
+        from repro.sim.engine import EngineConfig
+        from repro.strategies.batched import batched_strategy_for
+        from repro.world.generators import planted_instance
+
+        lanes = 3
+        engine = BatchedEngine(
+            [
+                planted_instance(
+                    n=64, m=64, beta=1 / 8, alpha=0.5,
+                    rng=np.random.default_rng(seed),
+                )
+                for seed in range(lanes)
+            ],
+            batched_strategy_for(DistillStrategy, lanes),
+            adversary=batched_adversary_for(SplitVoteAdversary, lanes),
+            rngs=[np.random.default_rng(10 + k) for k in range(lanes)],
+            adversary_rngs=[np.random.default_rng(20 + k) for k in range(lanes)],
+            config=EngineConfig(record_reports=True),
+        )
+        engine.run()
+        for lane in engine.boards:
+            assert len(lane) > 0
+            lane.verify_integrity()
+            replay = Billboard(64, 64)
+            for round_no in range(lane.last_round + 1):
+                replay.append_many(
+                    round_no,
+                    [
+                        (p.player, p.object_id, p.reported_value, p.kind)
+                        for p in lane.posts()
+                        if p.round_no == round_no
+                    ],
+                )
+            assert replay.head_digest == lane.head_digest
+            replay.verify_integrity()
 
 
 class TestAppendMany:
@@ -306,9 +365,13 @@ _entry = st.tuples(
 def test_append_many_equivalent_to_eager_appends(entries, batch_size):
     """Batched appends with deferred hashing must be indistinguishable
     from per-post appends with the digest forced after every post: same
-    posts, same head digest, same ledger state, and a verifying chain."""
+    posts, same head digest, same ledger state, and a verifying chain.
+    The block writers (``post_entries`` for the mixed batch, and
+    ``post_block`` per same-kind run) are two more input paths."""
     eager = Billboard(8, 16)
     batched = Billboard(8, 16)
+    entry_blocks = Billboard(8, 16)
+    kind_blocks = Billboard(8, 16)
     for start in range(0, len(entries), batch_size):
         round_no = start // batch_size
         batch = entries[start : start + batch_size]
@@ -316,13 +379,21 @@ def test_append_many_equivalent_to_eager_appends(entries, batch_size):
             eager.append(round_no, player, obj, value, kind)
             eager.head_digest  # force eager materialization per post
         batched.append_many(round_no, batch)
-    assert list(batched) == list(eager)
-    assert batched.head_digest == eager.head_digest
-    assert np.array_equal(
-        batched.current_vote_array(), eager.current_vote_array()
-    )
-    assert np.array_equal(
-        batched.objects_with_votes(), eager.objects_with_votes()
-    )
-    batched.verify_integrity()
+        entry_blocks.post_entries(round_no, ActionBlock.from_entries(batch))
+        for kind, run in groupby(batch, key=lambda entry: entry[3]):
+            players, objects, values, _kinds = zip(*run)
+            kind_blocks.post_block(
+                round_no, np.array(players), np.array(objects),
+                np.array(values), kind,
+            )
+    for board in (batched, entry_blocks, kind_blocks):
+        assert list(board) == list(eager)
+        assert board.head_digest == eager.head_digest
+        assert np.array_equal(
+            board.current_vote_array(), eager.current_vote_array()
+        )
+        assert np.array_equal(
+            board.objects_with_votes(), eager.objects_with_votes()
+        )
+        board.verify_integrity()
     eager.verify_integrity()

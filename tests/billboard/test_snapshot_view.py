@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard
 from repro.billboard.views import BillboardView, SnapshotView
 
 N_PLAYERS = 8
@@ -53,12 +52,6 @@ class TestSnapshotViewBasics:
         view = SnapshotView(board, epoch=2).with_horizon(5)
         assert type(view) is BillboardView
         assert view.before_round == 5
-
-    def test_works_on_sparse_substrate(self):
-        board = SparseBoard(N_PLAYERS, N_OBJECTS)
-        board.append_many(0, _batch([(0, 1)]))
-        view = SnapshotView(board, epoch=1)
-        assert view.cumulative_vote_counts()[1] == 1
 
 
 # one hypothesis-drawn traffic history: per-epoch batches of votes

@@ -1,39 +1,32 @@
-"""Golden equivalence suite: sparse substrate ≡ dense, bit for bit.
+"""Golden equivalence suite: every cell reproduces its frozen digest.
 
-The sparse columnar substrate (:mod:`repro.billboard.sparse`) promises
-that ``substrate=`` never changes a result: for every vote mode, both
-engines, and faulted cells alike, a sparse run's
-:class:`~repro.sim.metrics.RunMetrics` — probes, paid, satisfied/halted
-arrays, rounds, ``fault_info``, everything — are *identical* to the
-dense run of the same seed. This module is that promise's enforcement:
-a pinned grid over vote modes × {scalar, batched K=8} × {clean, faulted
-E15-style churn cell}, the auto-threshold contract, the structured-trace
-fallback audit, and the ``substrate.*`` observability counters.
+There is one post log, :class:`~repro.billboard.board.Billboard`, and
+one ledger. This module pins their results over a grid of vote modes ×
+{scalar, batched K=8} × {clean, faulted E15-style churn cell}: each
+cell's :class:`~repro.sim.metrics.RunMetrics` — probes, paid,
+satisfied/halted arrays, rounds, ``fault_info``, everything — must hash
+to a SHA-256 recorded before the columnar board replaced the others.
 
-On the scalar engine the knob still swaps the chained ``Billboard`` for
-the columnar ``SparseBoard``, so those cells compare two post logs. The
-batched engine's lane boards carry the one ``VoteLedger`` whatever the
-knob says, so its cells are pinned to frozen digests instead: the
-SHA-256 of each cell's results, recorded while the batched engine could
-still run an independent object-sharded ledger and matched by both
-ledgers then.
+The batched cells' digests (:data:`FROZEN_LANE_DIGESTS`) were recorded
+while the batched engine could still run an independent object-sharded
+ledger, and matched by both ledgers then. The scalar cells' digests
+(:data:`FROZEN_SCALAR_DIGESTS`) were recorded while the scalar engine
+could still run either the per-post chained board or the scalar
+columnar board, and matched by both. The scalar and batched digests
+agree because the two engines are bit-identical.
 """
 
 import hashlib
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.split_vote import SplitVoteAdversary
-from repro.billboard.sparse import SPARSE_AUTO_THRESHOLD
 from repro.billboard.votes import VoteMode
 from repro.core.distill import DistillStrategy
 from repro.faults.plan import FaultPlan
-from repro.obs.registry import Registry
-from repro.sim.engine import EngineConfig, SynchronousEngine
+from repro.sim.engine import EngineConfig
 from repro.sim.runner import run_trials
 from repro.world.generators import planted_instance
 
@@ -77,7 +70,7 @@ def _config(vname):
     )
 
 
-def _run(substrate, vname, lanes, plan_name, seed=42, obs=None):
+def _run(vname, lanes, plan_name, seed=42, **kwargs):
     return run_trials(
         factory(),
         DistillStrategy,
@@ -88,8 +81,7 @@ def _run(substrate, vname, lanes, plan_name, seed=42, obs=None):
         keep_metrics=True,
         batch_lanes=lanes,
         fault_plan=FAULTED_PLAN if plan_name == "faulted" else None,
-        substrate=substrate,
-        obs=obs,
+        **kwargs,
     )
 
 
@@ -106,6 +98,18 @@ FROZEN_LANE_DIGESTS.update(
         for vname in VOTE_MODES
     }
 )
+
+#: (vote mode, plan) -> SHA-256 of the scalar cell's results, recorded
+#: while the chained and the columnar scalar boards both still existed
+#: (both gave these digests).
+FROZEN_SCALAR_DIGESTS = {
+    ("single", "clean"): "68f5dccc811afc8fbda42fffa5de721cbe5485d113beed0d68e83652f46de612",
+    ("multi", "clean"): "68f5dccc811afc8fbda42fffa5de721cbe5485d113beed0d68e83652f46de612",
+    ("mutable", "clean"): "68f5dccc811afc8fbda42fffa5de721cbe5485d113beed0d68e83652f46de612",
+    ("single", "faulted"): "b37198f23799da4f8b0fc12fcadb529d8e1a8a21514944dc96f972d4560210bb",
+    ("multi", "faulted"): "b37198f23799da4f8b0fc12fcadb529d8e1a8a21514944dc96f972d4560210bb",
+    ("mutable", "faulted"): "b37198f23799da4f8b0fc12fcadb529d8e1a8a21514944dc96f972d4560210bb",
+}
 
 
 def results_digest(results):
@@ -132,125 +136,22 @@ def results_digest(results):
     return digest.hexdigest()
 
 
-def assert_results_identical(dense, sparse):
-    """Full-strength equality: every per-trial array and metrics field."""
-    assert set(dense.per_trial) == set(sparse.per_trial)
-    for key in dense.per_trial:
-        assert np.array_equal(dense.per_trial[key], sparse.per_trial[key]), (
-            f"per-trial summary {key!r} diverged"
-        )
-    assert len(dense.metrics) == len(sparse.metrics)
-    for i, (a, b) in enumerate(zip(dense.metrics, sparse.metrics)):
-        assert np.array_equal(a.honest_mask, b.honest_mask), i
-        assert np.array_equal(a.probes, b.probes), i
-        assert np.array_equal(a.paid, b.paid), i
-        assert np.array_equal(a.satisfied_round, b.satisfied_round), i
-        assert np.array_equal(a.halted_round, b.halted_round), i
-        assert a.rounds == b.rounds, i
-        assert a.all_honest_satisfied == b.all_honest_satisfied, i
-        assert a.strategy_info == b.strategy_info, i
-        assert a.fault_info == b.fault_info, i
-    assert dense.strategy_infos == sparse.strategy_infos
-
-
 class TestGoldenGrid:
-    """Every (vote mode, engine, fault) cell, dense vs sparse, down to
-    the last array element; batched cells also match their frozen
-    digest."""
+    """Every (vote mode, engine, fault) cell matches its frozen digest."""
 
     @pytest.mark.parametrize("vname,lanes,plan_name", GRID)
     def test_sparse_matches_dense(self, vname, lanes, plan_name):
-        dense = _run("dense", vname, lanes, plan_name)
-        sparse = _run("sparse", vname, lanes, plan_name)
-        assert_results_identical(dense, sparse)
-        if lanes is not None:
-            assert results_digest(dense) == FROZEN_LANE_DIGESTS[
-                (vname, plan_name)
-            ]
+        # named for the scalar post logs whose shared results these
+        # digests froze; there is one board now
+        results = _run(vname, lanes, plan_name)
+        frozen = FROZEN_SCALAR_DIGESTS if lanes is None else FROZEN_LANE_DIGESTS
+        assert results_digest(results) == frozen[(vname, plan_name)]
         if plan_name == "faulted":
-            assert any(m.fault_info for m in sparse.metrics), (
+            assert any(m.fault_info for m in results.metrics), (
                 "faulted cell produced no fault_info — the injector "
                 "never ran"
             )
 
-    def test_auto_matches_both_below_threshold(self):
-        # n=16 is far below SPARSE_AUTO_THRESHOLD, so auto resolves to
-        # dense — and either way the results must be the pinned ones
-        auto = _run("auto", "single", None, "clean")
-        dense = _run("dense", "single", None, "clean")
-        assert_results_identical(dense, auto)
-        default = _run(None, "single", None, "clean")
-        assert_results_identical(dense, default)
-
-
-class TestSubstrateResolution:
-    """Engine-level knob resolution, fallbacks, and observability."""
-
-    def _engine(self, n=12, substrate=None, config=None, obs=None):
-        rng = np.random.default_rng(np.random.SeedSequence(5))
-        instance = planted_instance(
-            n=n, m=8, beta=0.25, alpha=0.75,
-            rng=np.random.default_rng(np.random.SeedSequence(6)),
-        )
-        return SynchronousEngine(
-            instance,
-            DistillStrategy(),
-            adversary=SilentAdversary(),
-            rng=rng,
-            adversary_rng=np.random.default_rng(np.random.SeedSequence(7)),
-            config=config,
-            obs=obs,
-            substrate=substrate,
-        )
-
-    def test_engine_resolves_auto_by_player_count(self):
-        assert self._engine(substrate=None).substrate == "dense"
-        assert self._engine(substrate="sparse").substrate == "sparse"
-        assert SPARSE_AUTO_THRESHOLD > 12  # the fixture stays dense
-
-    def test_traces_degrade_sparse_to_dense_with_audit(self):
-        engine = self._engine(
-            substrate="sparse", config=EngineConfig(trace=True)
-        )
-        assert engine.substrate == "dense"
-        assert engine.substrate_fallback is not None
-        clean = self._engine(substrate="sparse")
-        assert clean.substrate == "sparse"
-        assert clean.substrate_fallback is None
-
-    def test_substrate_counters_are_recorded(self):
-        obs = Registry()
-        self._engine(substrate="sparse", obs=obs).run()
-        counters = obs.snapshot()["counters"]
-        assert counters.get("substrate.sparse") == 1
-        assert "substrate.fallback" not in counters
-
-    def test_fallback_counter_on_traced_sparse_run(self):
-        obs = Registry()
-        self._engine(
-            substrate="sparse", config=EngineConfig(trace=True), obs=obs
-        ).run()
-        counters = obs.snapshot()["counters"]
-        assert counters.get("substrate.dense") == 1
-        assert counters.get("substrate.fallback") == 1
-
-    def test_manifest_records_the_requested_substrate(self):
-        res = _run("sparse", "single", None, "clean")
-        assert res.manifest.substrate == "sparse"
-        assert res.manifest.schema_version >= 4
-        default = _run(None, "single", None, "clean")
-        assert default.manifest.substrate is None
-
-    def test_obs_diff_treats_substrate_as_reporting_only(self):
-        from repro.obs.export import (
-            REPORTING_COUNTER_PREFIXES,
-            REPORTING_MANIFEST_FIELDS,
-        )
-
-        assert "substrate" in REPORTING_MANIFEST_FIELDS
-        assert "substrate." in REPORTING_COUNTER_PREFIXES
-
-    def test_no_fallback_warning_on_clean_sparse_runs(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _run("sparse", "single", 8, "clean")
+    def test_substrate_knob_is_gone(self):
+        with pytest.raises(TypeError, match="substrate"):
+            _run("single", None, "clean", substrate="dense")

@@ -1,31 +1,23 @@
-"""Unit parity for the sparse columnar substrate.
+"""Unit parity between the one board's writers, and ledger contracts.
 
-:class:`~repro.billboard.sparse.SparseBoard` promises *bit-identical*
-behaviour to the chained :class:`~repro.billboard.board.Billboard` for
-every vote mode and every query — the substrate knob must never change
-a result. Both boards carry the same
-:class:`~repro.billboard.votes.VoteLedger`, so what this module drives
-through the same randomized workloads is the two post logs, plus the
-pinned satellite contracts: empty batches are explicit no-ops and
-column views are read-only.
+:class:`~repro.billboard.board.Billboard` is the one post log. Its
+entry writers (``append``/``append_many``, the scalar engines and the
+service) and its block writers (``post_block``/``post_entries``, the
+batched engine's lanes) validate differently — entry by entry versus
+whole columns at once — but must leave identical boards and raise
+identical errors. This module drives both through the same randomized
+workloads in every vote mode, plus the pinned satellite contracts:
+empty batches are explicit no-ops and column views are read-only.
 """
 
 import numpy as np
 import pytest
 
 from repro.billboard.board import Billboard
-from repro.billboard.lanes import LaneBillboard
 from repro.billboard.post import Post, PostKind
-from repro.billboard.sparse import (
-    SPARSE_AUTO_THRESHOLD,
-    SparseBoard,
-    choose_substrate,
-    normalize_substrate,
-    substrate_fallback_reason,
-)
 from repro.billboard.votes import VoteLedger, VoteMode
-from repro.errors import ConfigurationError, InvalidPostError
-from repro.sim.engine import EngineConfig
+from repro.errors import ConfigurationError, InvalidPostError, TamperError
+from repro.sim.actions import ActionBlock
 
 MODES = {
     "single": (VoteMode.SINGLE, 1),
@@ -63,29 +55,34 @@ class TestLedgerParity:
         assert np.array_equal(ledger.current_vote_array(1), before)
 
     def test_constructor_errors_match_dense(self):
-        for args, kwargs in [
-            ((0, 4), {}),
-            ((4, 4), {"vote_mode": VoteMode.MULTI, "max_votes_per_player": 0}),
+        """The board's constructor errors are the ledger's own."""
+        for args, kwargs, ledger_kwargs in [
+            ((0, 4), {}, {}),
+            (
+                (4, 4),
+                {"vote_mode": VoteMode.MULTI, "max_votes_per_player": 0},
+                {"mode": VoteMode.MULTI, "max_votes_per_player": 0},
+            ),
         ]:
-            with pytest.raises(ConfigurationError) as dense_err:
+            with pytest.raises(ConfigurationError) as board_err:
                 Billboard(*args, **kwargs)
-            with pytest.raises(ConfigurationError) as sparse_err:
-                SparseBoard(*args, **kwargs)
-            assert str(dense_err.value) == str(sparse_err.value)
+            with pytest.raises(ConfigurationError) as ledger_err:
+                VoteLedger(*args, **ledger_kwargs)
+            assert str(board_err.value) == str(ledger_err.value)
 
 
 class TestBoardParity:
-    """SparseBoard ≡ Billboard: posts, reads, errors, hash-free batches."""
+    """Entry writers ≡ block writers: posts, reads, digests, errors."""
 
     def _boards(self, mode_name="single"):
         mode, cap = MODES[mode_name]
-        dense = Billboard(16, 8, vote_mode=mode, max_votes_per_player=cap)
-        sparse = SparseBoard(16, 8, vote_mode=mode, max_votes_per_player=cap)
-        return dense, sparse
+        entries = Billboard(16, 8, vote_mode=mode, max_votes_per_player=cap)
+        blocks = Billboard(16, 8, vote_mode=mode, max_votes_per_player=cap)
+        return entries, blocks
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     def test_append_paths_agree(self, mode_name):
-        dense, sparse = self._boards(mode_name)
+        entries_board, blocks_board = self._boards(mode_name)
         rng = np.random.default_rng(7)
         round_no = 0
         for _step in range(25):
@@ -98,49 +95,64 @@ class TestBoardParity:
                 )
                 for _ in range(int(rng.integers(0, 4)))
             ]
-            a = dense.append_many(round_no, entries)
-            b = sparse.append_many(round_no, entries)
-            assert [p.__dict__ for p in a] == [p.__dict__ for p in b]
+            posts = entries_board.append_many(round_no, entries)
+            blocks_board.post_entries(round_no, ActionBlock.from_entries(entries))
+            assert posts == blocks_board.posts()[len(blocks_board) - len(posts):]
             round_no += int(rng.integers(0, 2))
-        assert len(dense) == len(sparse)
-        assert dense.last_round == sparse.last_round
-        for i in range(len(dense)):
-            assert dense[i] == sparse[i]
+        assert len(entries_board) == len(blocks_board)
+        assert entries_board.last_round == blocks_board.last_round
+        for i in range(len(entries_board)):
+            assert entries_board[i] == blocks_board[i]
         for kind in (None, PostKind.VOTE, PostKind.REPORT):
-            a = dense.posts(kind=kind)
-            b = sparse.posts(kind=kind)
-            assert a == b
+            assert entries_board.posts(kind=kind) == blocks_board.posts(kind=kind)
+        assert entries_board.head_digest == blocks_board.head_digest
         assert np.array_equal(
-            dense.current_vote_array(), sparse.current_vote_array()
+            entries_board.current_vote_array(), blocks_board.current_vote_array()
         )
         assert np.array_equal(
-            dense.objects_with_votes(), sparse.objects_with_votes()
+            entries_board.objects_with_votes(), blocks_board.objects_with_votes()
         )
 
     def test_empty_append_many_is_a_no_op(self):
-        dense, sparse = self._boards()
-        for board in (dense, sparse):
-            assert board.append_many(5, []) == []
-            assert len(board) == 0
-            assert board.last_round == -1
+        board = Billboard(16, 8)
+        empty = np.zeros(0, dtype=np.int64)
+        assert board.append_many(5, []) == []
+        board.post_block(6, empty, empty, np.zeros(0), PostKind.VOTE)
+        board.post_entries(7, ActionBlock.from_entries([]))
+        assert len(board) == 0
+        assert board.last_round == -1
+        board.verify_integrity()
         # a later batch at an *earlier* round still succeeds: the empty
-        # batch must not have advanced the round clock
-        dense.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
-        sparse.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
-        assert dense.last_round == sparse.last_round == 2
+        # writes must not have advanced the round clock
+        board.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
+        assert board.last_round == 2
 
     def test_validation_errors_match_dense(self):
-        dense, sparse = self._boards()
-        for round_no, player, obj in [(0, 16, 0), (0, 0, 8), (-1, 0, 0)]:
-            with pytest.raises(InvalidPostError) as dense_err:
-                dense.append_many(
+        """``post_block`` raises ``append_many``'s exact error for each
+        single bad field, and neither writer appends anything."""
+        for round_no, player, obj, error in [
+            (4, 16, 0, InvalidPostError),  # unknown player
+            (4, 0, 8, InvalidPostError),  # unknown object
+            (-1, 0, 0, InvalidPostError),  # negative round
+            (2, 0, 0, TamperError),  # round regression
+        ]:
+            entries_board, blocks_board = self._boards()
+            for board in (entries_board, blocks_board):
+                board.append(3, 1, 1, 1.0, PostKind.VOTE)
+            with pytest.raises(error) as entries_err:
+                entries_board.append_many(
                     round_no, [(player, obj, 1.0, PostKind.VOTE)]
                 )
-            with pytest.raises(InvalidPostError) as sparse_err:
-                sparse.append_many(
-                    round_no, [(player, obj, 1.0, PostKind.VOTE)]
+            with pytest.raises(error) as blocks_err:
+                blocks_board.post_block(
+                    round_no, np.array([player]), np.array([obj]),
+                    np.array([1.0]), PostKind.VOTE,
                 )
-            assert str(dense_err.value) == str(sparse_err.value)
+            assert str(entries_err.value) == str(blocks_err.value)
+            for board in (entries_board, blocks_board):
+                assert len(board) == 1
+                assert board.ledger.effective_vote_count == 1
+                board.verify_integrity()
 
 
 class TestReadOnlyViews:
@@ -154,15 +166,15 @@ class TestReadOnlyViews:
             view[0] = 3
 
     def test_lane_column_view_is_read_only(self):
-        board = LaneBillboard(2, 4, 4)
-        board.lane(0).post_block(
+        board = Billboard(4, 4)
+        board.post_block(
             0,
             np.array([1]),
             np.array([2]),
             np.array([1.0]),
             PostKind.VOTE,
         )
-        view = board.lane(0)._players.view()
+        view = board._players.view()
         with pytest.raises(ValueError):
             view[0] = 3
 
@@ -173,27 +185,3 @@ class TestReadOnlyViews:
         ledger.record(_vote_post(0, 1, 2))
         ledger._players.view()
         assert ledger.record(_vote_post(1, 2, 3))
-
-
-class TestSubstrateSelection:
-    """The knob helpers behind ``substrate=``."""
-
-    def test_normalize_accepts_the_three_choices(self):
-        assert normalize_substrate(None) == "auto"
-        assert normalize_substrate("auto") == "auto"
-        assert normalize_substrate("dense") == "dense"
-        assert normalize_substrate("sparse") == "sparse"
-        with pytest.raises(ConfigurationError):
-            normalize_substrate("bogus")
-
-    def test_auto_picks_sparse_at_the_threshold(self):
-        assert choose_substrate("auto", SPARSE_AUTO_THRESHOLD - 1) == "dense"
-        assert choose_substrate("auto", SPARSE_AUTO_THRESHOLD) == "sparse"
-        assert choose_substrate(None, SPARSE_AUTO_THRESHOLD) == "sparse"
-        assert choose_substrate("dense", 10**6) == "dense"
-        assert choose_substrate("sparse", 2) == "sparse"
-
-    def test_traces_force_the_dense_fallback(self):
-        assert substrate_fallback_reason(EngineConfig()) is None
-        reason = substrate_fallback_reason(EngineConfig(trace=True))
-        assert reason is not None and "trace" in reason

@@ -103,3 +103,18 @@ class TestValidation:
         payload["surprise"] = 1
         with pytest.raises(ConfigurationError, match="unknown keys"):
             RunManifest.from_dict(payload)
+
+    def test_schema_5_substrate_key_loads(self):
+        """Schema 6 removed ``substrate``; a schema-5 file still loads
+        and the retired key is dropped."""
+        assert SCHEMA_VERSION == 6
+        current = collect_manifest(seed=0, n_trials=4)
+        payload = current.to_dict()
+        payload.update(schema_version=5, substrate="sparse")
+        loaded = RunManifest.from_dict(payload)
+        assert loaded.schema_version == 5
+        assert not hasattr(loaded, "substrate")
+        assert loaded.seed_entropy == current.seed_entropy
+        payload["schema_version"] = 6
+        with pytest.raises(ConfigurationError, match="substrate"):
+            RunManifest.from_dict(payload)

@@ -3,8 +3,7 @@
 RPL013 proves the *static* round trip (call sites <-> registry <-> doc
 catalogue) but cannot see names that only exist at runtime — the
 ``f"faults.{key}"`` fold realizes whatever keys the injector's summary
-dict happens to carry, and ``f"substrate.{name}"`` realizes whatever the
-substrate chooser returns. These tests close that gap: every realizable
+dict happens to carry. These tests close that gap: every realizable
 dynamic member must be declared, so the registry stays the complete
 metric catalogue even for the f-string families.
 """
@@ -49,11 +48,3 @@ class TestDynamicFamiliesFullyDeclared:
         injector.reset()
         for key in injector.info():
             assert f"faults.{key}" in DECLARED_COUNTERS, key
-
-    def test_substrate_names_all_declared(self):
-        from repro.billboard.sparse import choose_substrate
-
-        # both resolutions of the substrate knob (f"substrate.{name}")
-        for n_players in (8, 10**6):
-            name = choose_substrate("auto", n_players)
-            assert f"substrate.{name}" in DECLARED_COUNTERS, name

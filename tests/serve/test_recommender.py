@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard
 from repro.errors import ConfigurationError
 from repro.serve.recommender import (
     OnlineDistillRecommender,
@@ -40,13 +39,12 @@ def _seeded_traffic(board, epochs, seed=0, votes_per_epoch=5):
 
 
 class TestOnlineVsBatch:
-    @pytest.mark.parametrize("board_cls", [Billboard, SparseBoard])
-    def test_bit_identical_at_every_epoch_boundary(self, board_cls):
+    def test_bit_identical_at_every_epoch_boundary(self):
         """The golden equivalence: fold epochs one at a time online, and
         at *every* boundary the full state digest must equal a fresh
         batch replay over the same board — phase machine and scores,
         bit for bit, long enough to cross phase transitions."""
-        board = board_cls(N, M)
+        board = Billboard(N, M)
         online = OnlineDistillRecommender(board, _ctx())
         for epoch in _seeded_traffic(board, epochs=60, seed=3):
             online.fold_epoch(epoch)
@@ -90,15 +88,6 @@ class TestOnlineVsBatch:
             phases.add(online.phase)
         assert "step1.1" in phases
         assert len(phases) >= 2, f"traffic never left {phases}"
-
-    def test_sparse_equals_dense(self):
-        dense, sparse = Billboard(N, M), SparseBoard(N, M)
-        online_dense = OnlineDistillRecommender(dense, _ctx())
-        online_sparse = OnlineDistillRecommender(sparse, _ctx())
-        for board, online in ((dense, online_dense), (sparse, online_sparse)):
-            for epoch in _seeded_traffic(board, epochs=25, seed=9):
-                online.fold_epoch(epoch)
-        assert online_dense.state_digest() == online_sparse.state_digest()
 
 
 # arbitrary per-epoch batches, including empty epochs

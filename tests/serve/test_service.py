@@ -82,7 +82,7 @@ class TestServiceRoundTrip:
         assert counters["serve.ticks"] == 1
         assert counters["serve.shed"] == 0
         assert metrics["recommender"]["phase"] == "step1.1"
-        assert metrics["substrate"] == "dense"
+        assert "substrate" not in metrics
 
     def test_bad_requests_get_typed_errors(self, served):
         host, port = served.address
@@ -133,20 +133,6 @@ class TestBackpressure:
                 assert client.board()["posts"] == 3
                 flushes = client.metrics()["counters"]["serve.flushes"]
                 assert flushes == 1
-
-
-class TestSubstrateKnob:
-    def test_sparse_substrate_serves_identically(self):
-        config = ServeConfig(n_players=8, n_objects=4, substrate="sparse")
-        with ServiceThread(config) as runner:
-            assert runner.service.substrate == "sparse"
-            with ServeClient(*runner.address) as client:
-                client.vote(3, 2)
-                client.tick()
-                assert client.counts()["counts"] == [0, 0, 1, 0]
-                assert client.board()["substrate"] == "sparse"
-                serving = client.metrics()["manifest"]["serving"]
-                assert serving["substrate"] == "sparse"
 
 
 class TestServeKnobs:
@@ -204,8 +190,6 @@ class TestServeCli:
                 "32",
                 "--port",
                 "0",
-                "--substrate",
-                "sparse",
                 "--max-inflight",
                 "128",
                 "--rate",
@@ -214,6 +198,5 @@ class TestServeCli:
         )
         assert args.command == "serve"
         assert args.n == 64 and args.m == 32
-        assert args.substrate == "sparse"
         assert args.max_inflight == 128
         assert args.rate == 100.0

@@ -104,7 +104,7 @@ def test_forged_identity_raises_and_posts_nothing(make, forged):
     )
     with pytest.raises(AdversaryViolationError, match=f"player {forged},"):
         engine.run()
-    board = engine.boards.lane(0)
+    board = engine.boards[0]
     # lane 0's turn raised: its board holds the two honest votes only
     assert seen == {0: 2}
     assert len(board) == 2
@@ -123,7 +123,7 @@ def test_controlled_identity_posts(make):
     )
     engine.run()
     for lane in range(N_LANES):
-        board = engine.boards.lane(lane)
+        board = engine.boards[lane]
         # the repeat vote by the same identity is posted, not effective
         assert [p.player for p in board.posts()] == [0, 1, 2, 2]
         assert board.current_vote_array().tolist() == [1, 1, 0]

@@ -58,6 +58,14 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "nope"])
 
+    @pytest.mark.parametrize(
+        "command", ["experiment E1", "run", "report", "gauntlet", "serve"]
+    )
+    def test_substrate_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([*command.split(), "--substrate", "dense"])
+        assert "--substrate" in capsys.readouterr().err
+
 
 class TestGauntlet:
     def test_all_adversaries_reported(self, capsys):
