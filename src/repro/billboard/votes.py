@@ -223,7 +223,11 @@ class VoteLedger:
         pair; returns the per-post effectiveness mask. In ``SINGLE`` mode
         the whole block is resolved vectorized — this is the batched
         engine's hot path for adversaries that flood thousands of votes in
-        one round. The other modes fall back to the per-post rule.
+        one round. A block whose players are strictly increasing (every
+        honest vote block: the probers are a masked subset of the sorted
+        active ids) cannot repeat a player, so it skips the search for
+        each player's first vote in the block; any other block pays for
+        it. The other modes fall back to the per-post rule.
 
         An empty block is an explicit no-op: no state is touched, the
         memo survives, and an empty boolean mask is returned.
@@ -246,12 +250,14 @@ class VoteLedger:
                 dtype=bool,
             )
         # SINGLE: a vote is effective iff the player has no prior vote
-        # and this is the player's first vote within the block.
-        no_prior = self._current_vote[players] == -1
-        first_in_block = np.zeros(players.size, dtype=bool)
-        _uniq, first = np.unique(players, return_index=True)
-        first_in_block[first] = True
-        effective = no_prior & first_in_block
+        # and this is the player's first vote within the block. In a
+        # strictly increasing block every vote is its player's first.
+        effective = self._current_vote[players] == -1
+        if not (players[1:] > players[:-1]).all():
+            first_in_block = np.zeros(players.size, dtype=bool)
+            _uniq, first = np.unique(players, return_index=True)
+            first_in_block[first] = True
+            effective &= first_in_block
         if effective.any():
             eff_players = players[effective]
             eff_objects = objects[effective]
@@ -347,7 +353,8 @@ class VoteLedger:
         return result
 
     def objects_with_votes(self, before_round: Optional[int] = None) -> np.ndarray:
-        """Sorted ids of objects having at least one effective vote.
+        """Sorted ``int64`` ids of objects having at least one effective
+        vote (empty, still ``int64``, when there are none).
 
         This is the candidate pool ``S`` of Step 1.2 of ATTEMPT.
         """
@@ -361,7 +368,11 @@ class VoteLedger:
             cutoff = len(self._objects)
         else:
             cutoff = self._count_before(before_round)
-        result = np.unique(self._objects.view()[:cutoff])
+        # A per-object tally: flatnonzero yields the sorted int64 ids
+        # without a sort.
+        result = np.flatnonzero(
+            np.bincount(self._objects.view()[:cutoff], minlength=self.n_objects)
+        )
         self._memo[key] = result
         return result.copy()
 

@@ -66,7 +66,14 @@ class DistillPhaseTracker:
         Figure 1 constants.
     universe:
         The object pool of Step 1.1 — all of ``{0..m-1}`` by default;
-        Theorem 12's cost-class runs restrict it to one class.
+        Theorem 12's cost-class runs restrict it to one class. Phase
+        boundaries keep only ids inside it: the board's ids arrive
+        sorted, unique and in ``[0, m)``, so the default universe needs
+        no filter, and a class universe filters through a boolean mask
+        over ``[0, m)`` built once here. The result is the sorted set
+        intersection of the ids and the universe, as ``int64``, for
+        duplicated, unsorted or out-of-range universe entries too, with
+        no sort per boundary.
     start_round:
         The absolute round at which this tracker's first ATTEMPT begins
         (staged wrappers such as Section 5.1's start trackers mid-run).
@@ -81,9 +88,15 @@ class DistillPhaseTracker:
     ) -> None:
         self.ctx = ctx
         self.params = params
+        # Membership mask of a class universe; None means "every id".
+        self._in_universe: Optional[np.ndarray] = None
         if universe is None:
-            universe = np.arange(ctx.m, dtype=np.int64)
-        self.universe = np.asarray(universe, dtype=np.int64)
+            self.universe = np.arange(ctx.m, dtype=np.int64)
+        else:
+            self.universe = np.asarray(universe, dtype=np.int64)
+            in_range = (self.universe >= 0) & (self.universe < ctx.m)
+            self._in_universe = np.zeros(ctx.m, dtype=bool)
+            self._in_universe[self.universe[in_range]] = True
 
         self.len_step11 = 2 * params.step11_invocations(
             ctx.n, ctx.alpha, ctx.beta
@@ -139,7 +152,7 @@ class DistillPhaseTracker:
         # Step 1.2: objects with a vote, *within this run's universe* —
         # a Theorem 12 class run ignores votes for other classes' objects
         # (they cannot be candidates of this instance).
-        pool = np.intersect1d(view.objects_with_votes(), self.universe)
+        pool = self._within_universe(view.objects_with_votes())
         self._current["s_size"] = int(pool.size)
         self.phase = DistillPhase.STEP13
         self.phase_start = end
@@ -148,10 +161,9 @@ class DistillPhaseTracker:
 
     def _enter_iterations(self, end: int, view: BillboardView) -> None:
         counts = view.counts_in_window(self.phase_start, end)
-        c0 = np.intersect1d(
-            np.flatnonzero(counts >= self.params.c0_vote_threshold),
-            self.universe,
-        ).astype(np.int64)
+        c0 = self._within_universe(
+            np.flatnonzero(counts >= self.params.c0_vote_threshold)
+        )
         self._current["c_sizes"].append(int(c0.size))
         self.candidates = c0
         self.iteration = 0
@@ -162,6 +174,14 @@ class DistillPhaseTracker:
             self.phase_start = end
             self.phase_len = self.len_iteration
             self.pool = c0
+
+    def _within_universe(self, ids: np.ndarray) -> np.ndarray:
+        """The sorted unique ``ids`` (all in ``[0, m)``) that lie in the
+        Step 1.1 universe, as ``int64``, in their original order."""
+        ids = ids.astype(np.int64, copy=False)
+        if self._in_universe is None:
+            return ids
+        return ids[self._in_universe[ids]]
 
     def _next_iteration(self, end: int, view: BillboardView) -> None:
         counts = view.counts_in_window(self.phase_start, end)

@@ -7,7 +7,7 @@ it once per *batch*, advancing ``K`` trials — *lanes* — in lockstep:
 
 * per-lane state (``probes``, ``paid``, ``satisfied_round``,
   ``halted_round``, ``active``) lives in ``(K, n)`` arrays, updated with
-  one vectorized scatter per round across every lane at once;
+  one flat 1-D scatter per round across every lane at once;
 * each lane draws its honest and adversary coins from its own pinned
   per-trial rng stream, in the *exact* order the scalar engine would —
   so each lane's randomness is bit-identical to a scalar run of that
@@ -86,6 +86,12 @@ def batch_fallback_reason(
 
 class BatchedEngine:
     """Runs ``K`` independent trials of one protocol in lockstep.
+
+    The per-round ``probes``/``paid``/``satisfied_round`` update is one
+    1-D scatter through flat views of the ``(K, n)`` player state and the
+    ``(K, m)`` ``good``/``costs`` tables: player slots are indexed
+    ``lane * n + player``, object slots ``lane * m + object`` (numpy
+    resolves a 1-D fancy index faster than a 2-D one).
 
     Parameters
     ----------
@@ -219,6 +225,14 @@ class BatchedEngine:
         halted_round = player_array((K, n), -1, np.int64)
         alive = np.ones(K, dtype=bool)
         rounds_out = np.zeros(K, dtype=np.int64)
+        # Flat views for the per-round scatter. Every array here is
+        # freshly allocated and C-contiguous (memmap-backed ones
+        # included), so reshape(-1) is a view, never a copy.
+        probes_flat = probes.reshape(-1)
+        paid_flat = paid.reshape(-1)
+        satisfied_flat = satisfied_round.reshape(-1)
+        good_flat = good.reshape(-1)
+        costs_flat = costs.reshape(-1)
 
         faults = self.faults
         value_models = self.value_models
@@ -350,25 +364,23 @@ class BatchedEngine:
                     )
 
             if probing_lanes:
-                # One cross-lane scatter for the whole batch: (lane,
-                # player) pairs are unique within a round, so fancy-index
-                # += is exact.
+                # One cross-lane scatter for the whole batch, on the
+                # flat views: (lane, player) pairs are unique within a
+                # round, so fancy-index += is exact.
                 lane_idx = np.repeat(
                     np.array(probing_lanes, dtype=np.int64),
                     [p.size for p in probers_per_lane],
                 )
-                flat_probers = np.concatenate(probers_per_lane)
-                flat_targets = np.concatenate(targets_per_lane)
+                at_player = lane_idx * n + np.concatenate(probers_per_lane)
+                at_object = lane_idx * m + np.concatenate(targets_per_lane)
                 if obs is not None:
-                    count_probes(int(flat_probers.size))
-                probes[lane_idx, flat_probers] += 1
-                paid[lane_idx, flat_probers] += costs[lane_idx, flat_targets]
-                newly_good = good[lane_idx, flat_targets] & (
-                    satisfied_round[lane_idx, flat_probers] < 0
+                    count_probes(int(at_player.size))
+                probes_flat[at_player] += 1
+                paid_flat[at_player] += costs_flat[at_object]
+                newly_good = good_flat[at_object] & (
+                    satisfied_flat[at_player] < 0
                 )
-                satisfied_round[
-                    lane_idx[newly_good], flat_probers[newly_good]
-                ] = round_no
+                satisfied_flat[at_player[newly_good]] = round_no
 
                 results = self.strategy.handle_results_batch(
                     round_no,

@@ -182,3 +182,62 @@ def test_asof_cursor_matches_recompute(mode, ops):
     assert np.array_equal(
         ledger.current_vote_array(), _recomputed(mode, posts, round_no + 1)
     )
+
+
+# Same-round blocks in the three shapes record_block sees: strictly
+# increasing players (every honest vote block), unsorted players, and
+# blocks that repeat a player (adversary slot blocks).
+_block_players = st.one_of(
+    st.sets(st.integers(0, N_PLAYERS - 1), max_size=N_PLAYERS).map(sorted),
+    st.permutations(list(range(N_PLAYERS))).flatmap(
+        lambda order: st.integers(0, N_PLAYERS).map(lambda k: order[:k])
+    ),
+    st.lists(st.integers(0, N_PLAYERS - 1), min_size=2, max_size=12),
+)
+vote_blocks = st.lists(
+    _block_players.flatmap(
+        lambda players: st.lists(
+            st.integers(0, N_OBJECTS - 1),
+            min_size=len(players),
+            max_size=len(players),
+        ).map(lambda objects: (players, objects))
+    ),
+    max_size=8,
+)
+
+
+@given(st.sampled_from(list(VoteMode)), vote_blocks)
+@settings(max_examples=150, deadline=None)
+def test_record_block_equals_per_post_record(mode, blocks):
+    blocked = VoteLedger(N_PLAYERS, N_OBJECTS, mode=mode, max_votes_per_player=2)
+    posted = VoteLedger(N_PLAYERS, N_OBJECTS, mode=mode, max_votes_per_player=2)
+    for round_no, (players, objects) in enumerate(blocks):
+        mask = blocked.record_block(
+            round_no,
+            np.array(players, dtype=np.int64),
+            np.array(objects, dtype=np.int64),
+        )
+        expected = [
+            posted.record(_vote_post(round_no, p, o))
+            for p, o in zip(players, objects)
+        ]
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+    end = len(blocks)
+    assert blocked.effective_vote_count == posted.effective_vote_count
+    for player in range(N_PLAYERS):
+        assert blocked.votes_of(player) == posted.votes_of(player)
+    for horizon in (None, *range(end + 1)):
+        assert np.array_equal(
+            blocked.current_vote_array(horizon),
+            posted.current_vote_array(horizon),
+        )
+        assert np.array_equal(
+            blocked.objects_with_votes(horizon),
+            posted.objects_with_votes(horizon),
+        )
+    assert np.array_equal(
+        blocked.counts_in_window(0, end), posted.counts_in_window(0, end)
+    )
+    everyone = np.arange(N_PLAYERS)
+    assert blocked.votes_cast_by(everyone) == posted.votes_cast_by(everyone)

@@ -9,6 +9,7 @@ mode semantics — including interleaved queries, which exercise the
 per-horizon memo's invalidation on new effective votes.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +132,9 @@ def test_objects_with_votes_matches_reference(mode, stream, f, horizon):
     expected = sorted(
         {obj for round_no, _player, obj in log if round_no < horizon}
     )
-    assert ledger.objects_with_votes(horizon).tolist() == expected
+    ids = ledger.objects_with_votes(horizon)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == expected
 
 
 @given(modes, vote_streams, st.integers(1, 4), st.integers(0, 61),
@@ -160,3 +163,18 @@ def test_memo_survives_interleaved_records(mode, stream, f, h1, h2):
     assert ledger.counts_in_window(0, h2).tolist() == ref_counts(
         mode, log, 0, h2
     )
+
+
+def test_objects_with_votes_is_int64_when_empty():
+    """Step 1.2's ``S`` stays ``int64`` when empty: on an empty ledger,
+    and at ``before_round=0`` of a ledger with votes."""
+    ledger = VoteLedger(N_PLAYERS, N_OBJECTS)
+    for before_round in (None, 0, 5):
+        ids = ledger.objects_with_votes(before_round)
+        assert ids.dtype == np.int64
+        assert ids.size == 0
+    ledger.record(make_post(3, 1, 4))
+    assert ledger.objects_with_votes(0).dtype == np.int64
+    assert ledger.objects_with_votes(0).size == 0
+    assert ledger.objects_with_votes().dtype == np.int64
+    assert ledger.objects_with_votes().tolist() == [4]

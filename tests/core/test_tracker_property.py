@@ -141,3 +141,55 @@ def test_diagnostics_account_all_iterations(stream):
     assert diag["max_iterations_per_attempt"] <= max(
         (a["iterations"] for a in diag["attempts"]), default=0
     ) + 0
+
+
+# Step 1.1 universes as a caller may pass them: unsorted, duplicated,
+# with ids outside [0, M), empty, or the full arange(M).
+universes = st.one_of(
+    st.lists(st.integers(-4, M + 4), max_size=2 * M).map(
+        lambda ids: np.array(ids, dtype=np.int64)
+    ),
+    st.just(np.zeros(0, dtype=np.int64)),
+    st.just(np.arange(M, dtype=np.int64)),
+)
+
+
+class CheckedTracker(DistillPhaseTracker):
+    """Records each Step 1.2 ``pool`` and Step 1.4 ``C0`` next to an
+    ``np.intersect1d`` reference computed from the same view."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = []
+
+    def _enter_step13(self, end, view):
+        want = np.intersect1d(view.objects_with_votes(), self.universe)
+        super()._enter_step13(end, view)
+        self.checked.append((self.pool, want))
+
+    def _enter_iterations(self, end, view):
+        counts = view.counts_in_window(self.phase_start, end)
+        want = np.intersect1d(
+            np.flatnonzero(counts >= self.params.c0_vote_threshold),
+            self.universe,
+        )
+        restarts = len(self._attempts)
+        super()._enter_iterations(end, view)
+        if len(self._attempts) == restarts:
+            self.checked.append((self.candidates, want))
+        else:  # an empty C0 restarted ATTEMPT and reset the candidates
+            assert self._attempts[-1]["c_sizes"][-1] == 0
+            assert want.size == 0
+
+
+@given(vote_streams, universes)
+@settings(max_examples=120, deadline=None)
+def test_universe_filter_equals_intersect1d(stream, universe):
+    board = build_board(stream)
+    tracker = CheckedTracker(ctx(), DistillParameters(), universe=universe)
+    for round_no in range(60):
+        tracker.advance(round_no, BillboardView(board, before_round=round_no))
+    assert tracker.checked  # Step 1.2 falls at round 4
+    for got, want in tracker.checked:
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()

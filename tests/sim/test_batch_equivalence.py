@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import GridCell, run_trial_grid, run_trials
+from repro.world import playerstate
 from repro.world.generators import planted_instance
 
 
@@ -102,10 +103,19 @@ def _config(vname):
     )
 
 
+#: non-square worlds (n < m and n > m): the engine's flat scatter
+#: indexes player state at lane * n + player and object tables at
+#: lane * m + object, so mixing up n and m only shows when they differ
+RECT_GRID = [
+    ("distill", "split-vote", "single", 12, 20),
+    ("trivial", "random-votes", "multi", 20, 12),
+]
+
+
 def _run(make_strategy, make_adversary, config, *, batch_lanes=None,
-         n_trials=6, seed=42, **kwargs):
+         n_trials=6, seed=42, make_instance=None, **kwargs):
     return run_trials(
-        factory(),
+        make_instance or factory(),
         make_strategy,
         make_adversary,
         n_trials=n_trials,
@@ -150,6 +160,36 @@ class TestGoldenGrid:
             STRATEGIES[sname], ADVERSARIES[aname], config, batch_lanes=4
         )
         assert_results_identical(scalar, batched)
+
+    @pytest.mark.parametrize("sname,aname,vname,n,m", RECT_GRID)
+    def test_batched_matches_scalar_when_n_differs_from_m(
+        self, sname, aname, vname, n, m
+    ):
+        config = _config(vname)
+        runs = [
+            _run(
+                STRATEGIES[sname], ADVERSARIES[aname], config,
+                batch_lanes=lanes, make_instance=factory(n=n, m=m),
+            )
+            for lanes in (None, 4)
+        ]
+        assert_results_identical(*runs)
+
+    def test_memmap_backed_state_is_bit_identical(self, monkeypatch):
+        """Above MEMMAP_THRESHOLD the engine's (K, n) state is an
+        np.memmap; its flat scatter views must write through to it."""
+        config = _config("single")
+        plain = _run(
+            DistillStrategy, SplitVoteAdversary, config, batch_lanes=4
+        )
+        monkeypatch.setattr(playerstate, "MEMMAP_THRESHOLD", 8)
+        assert isinstance(
+            playerstate.player_array((4, 16), -1, np.int64), np.memmap
+        )
+        mapped = _run(
+            DistillStrategy, SplitVoteAdversary, config, batch_lanes=4
+        )
+        assert_results_identical(plain, mapped)
 
     def test_lane_count_does_not_matter(self):
         config = _config("single")
